@@ -28,9 +28,10 @@ to fall back to one event per packet.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Protocol
+from functools import partial
+from typing import Callable, Optional, Protocol
 
-from repro.packet.packet import Packet
+from repro.packet.packet import HEADER_BYTES, Packet
 from repro.sim.kernel import Simulator
 
 #: Default for :class:`Link` packet-train coalescing (on unless a link or
@@ -107,11 +108,6 @@ class Link:
         self._receivers = (node_b, node_a)
         self._in_ports = (port_b, port_a)
 
-    def _serialisation_delay(self, packet: Packet) -> float:
-        if not self.bandwidth_bps:
-            return 0.0
-        return (packet.total_size * 8) / self.bandwidth_bps
-
     def transmit_from(self, sender: PacketSink, packet: Packet) -> None:
         """Send ``packet`` from ``sender`` towards the other end."""
         if sender is self.node_a:
@@ -120,13 +116,16 @@ class Link:
             direction = 1
         else:
             raise ValueError(f"{sender.name} is not attached to link {self.name}")
+        size = HEADER_BYTES + packet.payload_size
         self.packets_carried += 1
-        self.bytes_carried += packet.total_size
+        self.bytes_carried += size
         sim = self.sim
         now = sim._now
         busy = self._busy_until[direction]
         start = busy if busy > now else now
-        finish = start + self._serialisation_delay(packet)
+        bandwidth = self.bandwidth_bps
+        # Serialisation delay (none on an unlimited link).
+        finish = start + ((size * 8) / bandwidth if bandwidth else 0.0)
         self._busy_until[direction] = finish
         deliver_at = finish + self.latency
         if not self.batching:
@@ -191,15 +190,15 @@ class Link:
                 self._flush_scheduled[direction] = False
             raise
 
-    def transmitter_for(self, sender: PacketSink):
-        """A ``(packet) -> None`` callable bound to ``sender`` (switch port hook)."""
+    def transmitter_for(self, sender: PacketSink) -> Callable[[Packet], None]:
+        """A ``(packet) -> None`` callable bound to ``sender`` (switch port hook).
+
+        A :func:`functools.partial` of :meth:`transmit_from`, so a switch
+        port reaches the link without an extra Python frame per packet.
+        """
         if sender not in (self.node_a, self.node_b):
             raise ValueError(f"{sender.name} is not attached to link {self.name}")
-
-        def _transmit(packet: Packet) -> None:
-            self.transmit_from(sender, packet)
-
-        return _transmit
+        return partial(self.transmit_from, sender)
 
     def other_end(self, node: PacketSink) -> PacketSink:
         """The node on the opposite side of ``node``."""

@@ -3,7 +3,7 @@
 The paper's end-to-end experiment sends 300 IP flows between two hosts at
 250 packets per second each (one packet every 4 ms — that is also the
 measurement precision quoted for Figure 1b).  :class:`FlowSpec` describes one
-such flow; :class:`TrafficGenerator` runs a constant-rate sending process per
+such flow; :class:`TrafficGenerator` runs a constant-rate sending loop per
 flow on the source host.
 """
 
@@ -86,7 +86,7 @@ def flows_between(
 
 
 class TrafficGenerator:
-    """Runs the sending processes for a set of flows."""
+    """Runs the sending loops for a set of flows."""
 
     def __init__(
         self,
@@ -105,7 +105,12 @@ class TrafficGenerator:
         self.packets_generated = 0
 
     def start(self) -> None:
-        """Start one sending process per flow."""
+        """Start one sending loop per flow.
+
+        Each flow is a self-rescheduling kernel callback: one scheduled
+        callback starts the flow, then exactly one fires per packet (the
+        last one finds the flow stopped and does not reschedule).
+        """
         if self._started:
             return
         self._started = True
@@ -113,11 +118,9 @@ class TrafficGenerator:
             offset = 0.0
             if self.desynchronise:
                 offset = self.rng.uniform(0.0, flow.interval)
-            self.sim.process(self._flow_process(flow, offset), name=f"traffic.{flow.flow_id}")
+            self.sim.schedule_callback(0.0, self._start_flow, flow, offset)
 
-    def _flow_process(self, flow: FlowSpec, offset: float):
-        if flow.start_time + offset > 0:
-            yield flow.start_time + offset
+    def _start_flow(self, flow: FlowSpec, offset: float) -> None:
         # All packets of a flow share the same headers: build them once and
         # stamp copies per packet instead of re-parsing addresses every 4 ms.
         template = make_ip_packet(
@@ -131,22 +134,28 @@ class TrafficGenerator:
             payload_size=flow.payload_size,
             flow_id=flow.flow_id,
         )
-        header_values = template.header_values()
-        sequence = 0
-        while True:
-            if flow.stop_time is not None and self.sim.now >= flow.stop_time:
-                return
-            packet = Packet.from_values(
-                header_values.copy(),
-                payload_size=template.payload_size,
-                flow_id=flow.flow_id,
-                created_at=self.sim.now,
-                sequence=sequence,
-            )
-            flow.source.send(packet)
-            self.packets_generated += 1
-            sequence += 1
-            yield flow.interval
+        delay = flow.start_time + offset
+        if delay > 0:
+            self.sim.schedule_callback(delay, self._send, flow, template, 0)
+        else:
+            self._send(flow, template, 0)
+
+    def _send(self, flow: FlowSpec, template: Packet, sequence: int) -> None:
+        """Emit packet ``sequence`` of ``flow`` and schedule the next one."""
+        sim = self.sim
+        now = sim._now
+        if flow.stop_time is not None and now >= flow.stop_time:
+            return
+        flow.source.send(Packet.from_values(
+            template.header_values().copy(),
+            payload_size=template.payload_size,
+            flow_id=flow.flow_id,
+            created_at=now,
+            sequence=sequence,
+        ))
+        self.packets_generated += 1
+        sim.schedule_callback(flow.interval, self._send, flow, template,
+                              sequence + 1)
 
     def stop_all(self, at_time: Optional[float] = None) -> None:
         """Set a stop time on every flow (defaults to 'now')."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.openflow.constants import CONTROLLER_PORT, DROP_PORT
-from repro.packet.fields import FIELD_REGISTRY, HeaderField
+from repro.packet.fields import FIELD_INDEX, FIELD_REGISTRY, HeaderField
 from repro.packet.packet import Packet
 
 
@@ -135,6 +135,38 @@ def apply_actions(packet: Packet, actions: Sequence[Action]) -> List[int]:
         elif isinstance(action, DropAction):
             return []
     return outputs
+
+
+#: ``(output ports, to_controller, rewrites)``: what an action list does to
+#: any packet, as :func:`compile_actions` derives it.  ``output ports`` are
+#: the non-controller ports in action order; ``rewrites`` are the ``(field
+#: index, value)`` header writes in action order.
+Verdict = Tuple[Tuple[int, ...], bool, Tuple[Tuple[int, int], ...]]
+
+
+def compile_actions(actions: Sequence[Action]) -> Verdict:
+    """Walk ``actions`` once and return their :data:`Verdict`.
+
+    The compiled counterpart of :func:`apply_actions`: applying the rewrites
+    in order and emitting on the ports gives what :func:`apply_actions`
+    gives.  A ``Drop`` anywhere empties the verdict.
+    """
+    ports: List[int] = []
+    to_controller = False
+    rewrites: List[Tuple[int, int]] = []
+    for action in actions:
+        if isinstance(action, SetFieldAction):
+            rewrites.append((FIELD_INDEX[action.field], action.value))
+        elif isinstance(action, OutputAction):
+            if action.port == CONTROLLER_PORT:
+                to_controller = True
+            else:
+                ports.append(action.port)
+        elif isinstance(action, ControllerAction):
+            to_controller = True
+        elif isinstance(action, DropAction):
+            return ((), False, ())
+    return (tuple(ports), to_controller, tuple(rewrites))
 
 
 def actions_signature(actions: Sequence[Action]) -> Tuple:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.openflow.actions import Action, actions_signature
+from repro.openflow.actions import Action, Verdict, actions_signature
 from repro.openflow.constants import FlowModCommand
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod
@@ -40,6 +40,7 @@ class FlowEntry:
         "packet_count",
         "byte_count",
         "source_xid",
+        "verdict",
     )
 
     def __init__(
@@ -60,6 +61,10 @@ class FlowEntry:
         self.packet_count = 0
         self.byte_count = 0
         self.source_xid = source_xid
+        #: :func:`~repro.openflow.actions.compile_actions` of :attr:`actions`,
+        #: filled in by the data plane on the rule's first hit and reset
+        #: whenever the actions change.
+        self.verdict: Optional[Verdict] = None
 
     def record_hit(self, packet: Packet) -> None:
         """Update per-rule counters when a packet matches."""
@@ -194,6 +199,7 @@ class FlowTable:
         for entry in self._entries:
             if self._selected(entry, flowmod.match, flowmod.priority, strict):
                 entry.actions = list(flowmod.actions)
+                entry.verdict = None
                 entry.cookie = flowmod.cookie
                 entry.source_xid = flowmod.xid
                 touched.append(entry)

@@ -19,6 +19,10 @@ from repro.packet.fields import (
 
 _packet_ids = itertools.count(1)
 
+#: Bytes every packet carries on the wire besides its payload (Ethernet,
+#: IPv4 and transport headers); see :attr:`Packet.total_size`.
+HEADER_BYTES = 42
+
 
 class Packet:
     """A single data-plane packet.
@@ -175,7 +179,7 @@ class Packet:
     @property
     def total_size(self) -> int:
         """Approximate wire size in bytes (headers + payload)."""
-        return 42 + self.payload_size
+        return HEADER_BYTES + self.payload_size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         kind = "probe" if self.is_probe else "pkt"

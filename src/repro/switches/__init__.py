@@ -28,7 +28,7 @@ from repro.switches.profiles import (
     software_switch_profile,
 )
 from repro.switches.base import Switch
-from repro.switches.dataplane import DataPlane, ForwardingResult
+from repro.switches.dataplane import DataPlane
 from repro.switches.controlplane import ControlPlane, PendingOperation
 from repro.switches.software import SoftwareSwitch
 from repro.switches.hardware import HardwareSwitch
@@ -54,7 +54,6 @@ __all__ = [
     "DataPlaneSyncModel",
     "DelaySpikeFault",
     "FaultInjector",
-    "ForwardingResult",
     "HardwareSwitch",
     "PendingOperation",
     "ReorderFault",

@@ -62,6 +62,7 @@ class Switch:
             send_to_controller=self._send_to_controller,
             apply_to_dataplane=self.dataplane.apply_flowmod,
             inject_packet=self.inject_packet,
+            hit_counters=self.dataplane.hit_counters,
             rng=self.rng.fork("controlplane"),
             datapath_id=self.datapath_id,
             ports=[],
@@ -167,28 +168,39 @@ class Switch:
         if self._crashed:
             return
         self.packets_received += 1
-        packet.trace.append((self.sim.now, self.name))
-        self.sim.schedule_callback(
+        sim = self.sim
+        packet.trace.append((sim._now, self.name))
+        sim.schedule_callback(
             self.profile.forwarding_latency, self._forward, packet, in_port
         )
 
     def _forward(self, packet: Packet, in_port: int) -> None:
+        """Apply the data plane's verdict to ``packet``.
+
+        The upstream link no longer holds ``packet``, so a hop that neither
+        rewrites headers nor fans out forwards the very object it received.
+        A rewrite works on a copy; with several outputs (the controller
+        counts as one) every extra output gets its own copy, so no packet
+        object -- and no hop trace -- is ever shared by two branches.
+        """
         if self._crashed:
             return
-        result = self.dataplane.process_packet(packet, in_port)
-        if result.to_controller:
+        verdict = self.dataplane.verdict(packet, in_port)
+        if verdict is None:
+            return
+        ports, to_controller, rewrites = verdict
+        if rewrites:
+            packet = packet.copy()
+            values = packet._values
+            for index, value in rewrites:
+                values[index] = value
+        if to_controller:
             self.packets_to_controller += 1
-            captured = result.packet.copy() if result.packet is not None else packet.copy()
-            self.controlplane.send_packet_in(
-                lambda: PacketIn(
-                    captured,
-                    in_port=in_port,
-                    reason=PacketInReason.ACTION,
-                    datapath_id=self.datapath_id,
-                )
-            )
-        for port in result.output_ports:
-            self._transmit(result.packet, port, in_port)
+            self._packet_in(packet.copy() if ports else packet, in_port)
+        for port in ports[:-1]:
+            self._transmit(packet.copy(), port, in_port)
+        if ports:
+            self._transmit(packet, ports[-1], in_port)
 
     def inject_packet(self, packet: Packet, actions: List[Action], in_port: int) -> None:
         """PacketOut semantics: apply ``actions`` to ``packet`` and emit it."""
@@ -196,19 +208,25 @@ class Switch:
             return
         forwarded = packet.copy()
         ports = apply_actions(forwarded, actions)
-        for port in ports:
+        last = len(ports) - 1
+        for index, port in enumerate(ports):
+            # As in ``_forward``: every output but the last gets its own copy.
+            emitted = forwarded if index == last else forwarded.copy()
             if port == CONTROLLER_PORT:
-                captured = forwarded.copy()
-                self.controlplane.send_packet_in(
-                    lambda: PacketIn(
-                        captured,
-                        in_port=in_port,
-                        reason=PacketInReason.ACTION,
-                        datapath_id=self.datapath_id,
-                    )
-                )
+                self._packet_in(emitted, in_port)
             else:
-                self._transmit(forwarded, port, in_port)
+                self._transmit(emitted, port, in_port)
+
+    def _packet_in(self, packet: Packet, in_port: int) -> None:
+        """Hand ``packet`` to the agent, to be sent in a PacketIn."""
+        self.controlplane.send_packet_in(
+            lambda: PacketIn(
+                packet,
+                in_port=in_port,
+                reason=PacketInReason.ACTION,
+                datapath_id=self.datapath_id,
+            )
+        )
 
     def _transmit(self, packet: Packet, port: int, in_port: int) -> None:
         if port == FLOOD_PORT:

@@ -103,6 +103,10 @@ class ControlPlane:
     inject_packet:
         Callback ``(packet, actions, in_port) -> None`` implementing
         PacketOut semantics on the data plane / ports.
+    hit_counters:
+        Callback ``() -> {rule signature: (packets, bytes)}`` reading the
+        data plane's per-rule counters -- the only ones packets advance --
+        for flow and aggregate statistics replies.
     rng:
         Seeded randomness source for jitter and reordering.
     """
@@ -114,6 +118,7 @@ class ControlPlane:
         send_to_controller: Callable[[OFMessage], None],
         apply_to_dataplane: Callable[[FlowMod, float], None],
         inject_packet: Callable[[Packet, list, int], None],
+        hit_counters: Callable[[], Dict[Tuple, Tuple[int, int]]],
         rng: Optional[SeededRandom] = None,
         datapath_id: int = 1,
         ports: Optional[List[int]] = None,
@@ -128,6 +133,7 @@ class ControlPlane:
         self._send = send_to_controller
         self._apply_to_dataplane = apply_to_dataplane
         self._inject_packet = inject_packet
+        self._hit_counters = hit_counters
         self.rng = rng or SeededRandom(datapath_id)
 
         #: Control-plane view of the flow table (always up to date with
@@ -370,22 +376,25 @@ class ControlPlane:
         if self.crashed or self.crash_epoch != epoch:
             return
         if request.stats_type == StatsType.FLOW:
-            body = [
-                {
-                    "priority": entry.priority,
-                    "match": repr(entry.match),
-                    "packets": entry.packet_count,
-                    "bytes": entry.byte_count,
-                }
-                for entry in self.table
-                if request.match.is_match_all or request.match.covers(entry.match)
-            ]
+            counters = self._hit_counters()
+            body = []
+            for entry in self.table:
+                if request.match.is_match_all or request.match.covers(entry.match):
+                    packets, octets = counters.get(entry.signature(), (0, 0))
+                    body.append({
+                        "priority": entry.priority,
+                        "match": repr(entry.match),
+                        "packets": packets,
+                        "bytes": octets,
+                    })
         elif request.stats_type == StatsType.TABLE:
             body = [{"table": self.table.name, "active": len(self.table)}]
         elif request.stats_type == StatsType.AGGREGATE:
+            counters = self._hit_counters()
             body = [{
                 "flows": len(self.table),
-                "packets": sum(entry.packet_count for entry in self.table),
+                "packets": sum(counters.get(entry.signature(), (0, 0))[0]
+                               for entry in self.table),
             }]
         else:
             body = [{"switch": self.name, "datapath_id": self.datapath_id}]

@@ -6,49 +6,33 @@ that these two tables can disagree for hundreds of milliseconds; keeping them
 as two distinct objects makes that divergence explicit and measurable
 (:meth:`DataPlane.divergence_from`).
 
-A lookup cache keyed by the packet's full header tuple keeps per-packet cost
-low for the high-rate traffic used in the end-to-end experiments; the cache
-is invalidated whenever a rule is applied to the data plane.
+A lookup cache keyed by the packet's full header tuple (with ``in_port``)
+keeps per-packet cost low for the high-rate traffic used in the end-to-end
+experiments; it is cleared whenever the data-plane table changes
+(:meth:`DataPlane.apply_flowmod`, :meth:`DataPlane.wipe`).  Each rule carries
+its forwarding *verdict* -- its action list compiled once, on the rule's
+first hit -- so the per-hop path neither re-walks the actions nor allocates
+a result object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs import tracer as obs_tracer
 from repro.obs.events import PHASE_HW_ACTIVATED
-from repro.openflow.actions import apply_actions
-from repro.openflow.constants import CONTROLLER_PORT
+from repro.openflow.actions import Verdict, compile_actions
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.messages import FlowMod
 from repro.packet.fields import FIELD_INDEX, HeaderField
-from repro.packet.packet import Packet
+from repro.packet.packet import HEADER_BYTES, Packet
 
-#: Array index of ``in_port`` in a packet's header value array.
-_IN_PORT_INDEX = FIELD_INDEX[HeaderField.IN_PORT]
+# The cache key puts the arrival port first, in place of the packet's own
+# ``in_port`` header value.
+assert FIELD_INDEX[HeaderField.IN_PORT] == 0
 
 #: Cache-miss sentinel (``None`` is a valid cached value: a table miss).
 _MISS = object()
-
-
-@dataclass
-class ForwardingResult:
-    """Outcome of processing one packet in the data plane."""
-
-    #: Physical output ports the (possibly rewritten) packet must be sent to.
-    output_ports: List[int] = field(default_factory=list)
-    #: Whether a copy must be encapsulated in a PacketIn to the controller.
-    to_controller: bool = False
-    #: The rule that matched, or ``None`` on a table miss.
-    matched_entry: Optional[FlowEntry] = None
-    #: The packet after rewrite actions were applied.
-    packet: Optional[Packet] = None
-
-    @property
-    def dropped(self) -> bool:
-        """True when the packet leaves the switch on no port at all."""
-        return not self.output_ports and not self.to_controller
 
 
 class DataPlane:
@@ -89,46 +73,37 @@ class DataPlane:
         self._lookup_cache.clear()
 
     # -- packet processing --------------------------------------------------------
-    def _cache_key(self, packet: Packet, in_port: int) -> Tuple:
-        """Full-header cache key: the fixed-order value array with ``in_port``.
+    def verdict(self, packet: Packet, in_port: int) -> Optional[Verdict]:
+        """Classify ``packet`` arriving on ``in_port`` and count it.
 
-        Field order is static (:data:`~repro.packet.fields.FIELD_ORDER`), so
-        no sorting is needed — the array is already canonical.
-        """
-        key = packet._values.copy()
-        key[_IN_PORT_INDEX] = in_port
-        return tuple(key)
-
-    def process_packet(self, packet: Packet, in_port: int) -> ForwardingResult:
-        """Classify ``packet`` and compute its forwarding result.
-
-        Rewrite actions are applied to a copy so the caller's packet object
-        (still owned by the upstream link) is not mutated.
+        Records the hit on the matching rule.  Returns ``None`` when the
+        packet is dropped -- on a table miss or by a rule that sends it
+        nowhere -- and the verdict otherwise.  The packet is not touched:
+        applying the verdict's rewrites is the caller's job.
         """
         self.packets_processed += 1
-        key = self._cache_key(packet, in_port)
+        # The fixed field order is canonical, so the key needs no sorting.
+        key = (in_port, *packet._values[1:])
         entry = self._lookup_cache.get(key, _MISS)
         if entry is _MISS:
-            entry = self.table.lookup_values(list(key))
-            self._lookup_cache[key] = entry
-
+            entry = self._lookup_cache[key] = self.table.lookup_values(list(key))
         if entry is None:
             self.packets_dropped += 1
-            return ForwardingResult(packet=packet)
-
-        entry.record_hit(packet)
-        forwarded = packet.copy()
-        ports = apply_actions(forwarded, entry.actions)
-        output_ports = [port for port in ports if port != CONTROLLER_PORT]
-        to_controller = CONTROLLER_PORT in ports
-        if not ports:
+            return None
+        entry.packet_count += 1
+        entry.byte_count += HEADER_BYTES + packet.payload_size
+        verdict = entry.verdict
+        if verdict is None:
+            verdict = entry.verdict = compile_actions(entry.actions)
+        if not verdict[0] and not verdict[1]:
             self.packets_dropped += 1
-        return ForwardingResult(
-            output_ports=output_ports,
-            to_controller=to_controller,
-            matched_entry=entry,
-            packet=forwarded,
-        )
+            return None
+        return verdict
+
+    def hit_counters(self) -> Dict[Tuple, Tuple[int, int]]:
+        """``rule signature -> (packet_count, byte_count)`` of the visible rules."""
+        return {entry.signature(): (entry.packet_count, entry.byte_count)
+                for entry in self.table.entries}
 
     # -- diagnostics -----------------------------------------------------------------
     def divergence_from(self, control_table: FlowTable) -> Tuple[set, set]:

@@ -2,7 +2,7 @@
 round-trip (dict form, string form, and inside ``SessionSpec`` encoding) and
 fault schedules are deterministic functions of the seed."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.faults import (
     FaultPlan,
@@ -42,7 +42,14 @@ def fault_specs(draw):
             params[key] = draw(st.floats(min_value=0.0, max_value=4.0,
                                          allow_nan=False))
     targets = tuple(sorted(draw(st.sets(switch_names, max_size=3))))
-    return FaultSpec(name, params, targets)
+    spec = FaultSpec(name, params, targets)
+    # The float draws include values a model rejects (``link-flap`` needs
+    # ``duration > 0``): keep only specs a plan accepts.
+    try:
+        FaultPlan([spec]).validate()
+    except ValueError:
+        assume(False)
+    return spec
 
 
 @st.composite

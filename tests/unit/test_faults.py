@@ -465,6 +465,11 @@ class TestFaultPlan:
             assert FaultPlan.from_string(text).empty()
         assert FaultPlan().to_string() == "none"
 
+    def test_link_flap_rejects_zero_duration(self):
+        plan = FaultPlan([FaultSpec("link-flap", {"duration": 0.0}, ("S1",))])
+        with pytest.raises(ValueError, match="duration must be > 0"):
+            plan.validate()
+
     def test_bad_strings_rejected(self):
         with pytest.raises(ValueError, match="cannot parse"):
             FaultPlan.from_string("ack loss")
@@ -676,6 +681,8 @@ class TestFaultCampaign:
             self._spec(["ack-loss(probability=oops)"]).validate()
         with pytest.raises(ValueError, match="empty"):
             self._spec([]).validate()
+        with pytest.raises(ValueError, match="duration must be > 0"):
+            self._spec(["link-flap(duration=0)"]).validate()
 
     def test_run_cell_carries_fault_results(self):
         spec = self._spec(["ack-loss(probability=1.0)"])

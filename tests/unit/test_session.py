@@ -267,6 +267,30 @@ class TestPreRedesignEquivalence:
         assert _sha(payload) == PRE_REDESIGN_DIGESTS[f"rule-install/{technique}"]
 
 
+#: Outcome digests of the high-rate leaf-spine cells (16 flows at 1000 pps,
+#: seed 7) -- the cells of the ``dataplane-flood`` benchmark workload, with
+#: the traffic window shortened to a 0.05 s warm-up and a 0.1 s grace period.
+#: Captured before the per-hop packet path was compiled into forwarding
+#: verdicts; ``general`` exercises the ``SetField`` catch-rule path.
+HIGH_RATE_DIGESTS = {
+    "path-migration/barrier": "2086fbeb0041557b",
+    "path-migration/general": "f0985ade07f7432b",
+    "path-migration/no-wait": "142c82e17e8509ef",
+    "ecmp-rebalance/barrier": "6a35a40f018b6301",
+    "ecmp-rebalance/general": "5ab2a11716a2325e",
+    "ecmp-rebalance/no-wait": "651dff2f9bd70fba",
+}
+
+
+@pytest.mark.parametrize("scenario", ["path-migration", "ecmp-rebalance"])
+@pytest.mark.parametrize("technique", ["barrier", "general", "no-wait"])
+def test_high_rate_leaf_spine_digest_unchanged(scenario, technique):
+    record = run_scenario(scenario, technique, ScenarioParams(
+        topology="leaf-spine", flow_count=16, rate_pps=1000.0, seed=7,
+        warmup=0.05, grace=0.1))
+    assert record.digest() == HIGH_RATE_DIGESTS[f"{scenario}/{technique}"]
+
+
 # ---------------------------------------------------------------------------
 # A technique registered once runs through every entry point
 # ---------------------------------------------------------------------------

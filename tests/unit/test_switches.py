@@ -17,6 +17,7 @@ from repro.openflow import (
     StatsRequest,
     StatsReply,
 )
+from repro.openflow.constants import StatsType
 from repro.openflow.connection import Connection
 from repro.packet.packet import make_ip_packet
 from repro.sim import Simulator
@@ -184,6 +185,64 @@ def test_echo_features_and_stats_replies():
     assert len(stats.body) == 1
 
 
+def test_flow_and_aggregate_stats_report_dataplane_hits():
+    """Packets advance the data-plane rule's counters; the agent's replies
+    must report those, not its own (never-hit) control-plane copy."""
+    sim = Simulator()
+    switch = SoftwareSwitch(sim, "S")
+    outputs = []
+    switch.attach_port(2, outputs.append)
+    connection = Connection(sim)
+    switch.connect_controller(connection.side_a)
+    replies = []
+    connection.side_b.on_message(replies.append)
+    switch.start()
+    switch.install_rule_directly(FlowMod(Match(), [OutputAction(2)], priority=10))
+    for sequence in range(5):
+        switch.receive_packet(
+            make_ip_packet("10.0.0.1", "10.0.0.2", sequence=sequence), in_port=1)
+    sim.run(until=0.1)
+    assert len(outputs) == 5
+    assert switch.dataplane.table.entries[0].packet_count == 5
+    connection.side_b.send(StatsRequest(StatsType.FLOW))
+    connection.side_b.send(StatsRequest(StatsType.AGGREGATE))
+    sim.run(until=0.5)
+    flow, aggregate = [msg for msg in replies if isinstance(msg, StatsReply)]
+    size = outputs[0].total_size
+    assert [(row["packets"], row["bytes"]) for row in flow.body] == [(5, 5 * size)]
+    assert aggregate.body == [{"flows": 1, "packets": 5}]
+
+
+def test_multi_output_rule_gives_each_branch_its_own_packet():
+    """A two-output rule feeds two hosts; each recorded path holds only its
+    own branch (the branches must not share one packet and its trace)."""
+    from repro.net.monitor import DeliveryMonitor
+    from repro.net.network import Network
+    from repro.net.topology import Topology
+
+    topology = (Topology("fan-out")
+                .add_switch("S")
+                .add_host("H0", "10.0.0.1", "00:00:00:00:00:01")
+                .add_host("H1", "10.0.0.2", "00:00:00:00:00:02")
+                .add_host("H2", "10.0.0.3", "00:00:00:00:00:03")
+                .add_link("H0", "S").add_link("H1", "S").add_link("H2", "S"))
+    sim = Simulator()
+    monitor = DeliveryMonitor()
+    network = Network(sim, topology, monitor=monitor)
+    switch = network.switch("S")
+    switch.install_rule_directly(FlowMod(
+        Match(),
+        [OutputAction(network.port_between("S", "H1")),
+         OutputAction(network.port_between("S", "H2"))],
+        priority=10))
+    network.host("H0").send(
+        make_ip_packet("10.0.0.1", "10.0.0.2", flow_id="f", sequence=0))
+    sim.run(until=0.1)
+    paths = sorted(record.path for record in monitor.deliveries("f"))
+    assert paths == [("H0", "S", "H1"), ("H0", "S", "H2")]
+    assert switch.packets_forwarded == 2
+
+
 def test_packet_out_injects_on_port():
     sim = Simulator()
     switch = SoftwareSwitch(sim, "S")
@@ -196,6 +255,23 @@ def test_packet_out_injects_on_port():
     connection.side_b.send(PacketOut(packet, [OutputAction(1)]))
     sim.run(until=0.5)
     assert len(received) == 1
+
+
+def test_packet_out_to_two_ports_emits_two_packets():
+    sim = Simulator()
+    switch = SoftwareSwitch(sim, "S")
+    received = []
+    switch.attach_port(1, received.append)
+    switch.attach_port(2, received.append)
+    connection = Connection(sim)
+    switch.connect_controller(connection.side_a)
+    switch.start()
+    packet = make_ip_packet("10.0.0.1", "10.0.0.2")
+    connection.side_b.send(PacketOut(packet, [OutputAction(1), OutputAction(2)]))
+    sim.run(until=0.5)
+    assert len(received) == 2
+    assert received[0] is not received[1]
+    assert packet not in received
 
 
 def test_packet_out_rate_is_capped():
