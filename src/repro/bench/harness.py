@@ -42,7 +42,7 @@ class PhaseProfiler:
 #: The active profiler, installed by :func:`run_spec` for the duration of one
 #: benchmark.  ``None`` outside the harness, which makes ``profiled_phase``
 #: a plain no-op there — benchmark functions stay callable standalone.
-_PROFILER: Optional[PhaseProfiler] = None
+_ACTIVE_PHASES: Optional[PhaseProfiler] = None
 
 
 @contextmanager
@@ -52,7 +52,7 @@ def profiled_phase(name: str) -> Iterator[None]:
     No-op (beyond one global read) when no profiler is installed, so
     benchmark bodies can mark phases unconditionally.
     """
-    profiler = _PROFILER
+    profiler = _ACTIVE_PHASES
     if profiler is None:
         yield
         return
@@ -107,15 +107,15 @@ def _peak_rss_kb() -> int:
 
 def run_spec(spec: BenchSpec, scale: str = "quick") -> BenchResult:
     """Run one benchmark and measure it."""
-    global _PROFILER
+    global _ACTIVE_PHASES
     gc.collect()
     profiler = PhaseProfiler()
-    _PROFILER = profiler
+    _ACTIVE_PHASES = profiler
     start = time.perf_counter()
     try:
         outcome = spec.fn(scale) or {}
     finally:
-        _PROFILER = None
+        _ACTIVE_PHASES = None
     wall = time.perf_counter() - start
     events = outcome.pop("events", None)
     events_per_sec = None

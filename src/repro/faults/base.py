@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
-from repro.obs import tracer as obs_tracer
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
     from repro.sim.rng import SeededRandom
@@ -95,15 +93,16 @@ class FaultModel:
         if events is None:
             events = self.events = {}
         events[event] = events.get(event, 0) + n
-        tr = obs_tracer.TRACER
-        if tr.active:
+        sim = getattr(self, "sim", None)
+        if sim is None:
+            return  # unarmed: no simulator, so no instruments to record into
+        ins = sim.instruments
+        if ins.active:
             # Every fault model funnels its activations through here, which
             # makes this the one hook the timeline's fault overlay needs.
-            sim = getattr(self, "sim", None)
-            tr.fault(sim.now if sim is not None else 0.0,
-                     switch=getattr(self, "_trace_target", ""),
-                     detail=f"{self.name}.{event}")
-            tr.count(f"fault.{self.name}.{event}", n)
+            ins.fault(sim.now, switch=getattr(self, "_trace_target", ""),
+                      detail=f"{self.name}.{event}")
+            ins.count(f"fault.{self.name}.{event}", n)
 
     def counters(self) -> Dict[str, int]:
         """``event name -> occurrence count`` since arming."""
@@ -119,8 +118,7 @@ class DataPlaneFault(FaultModel):
     """A fault at the control→data plane boundary of one switch.
 
     Armed by redirecting the switch's ``apply_to_dataplane`` hook through
-    :class:`~repro.faults.harness.DataPlaneFaultHarness`; this is the
-    (unchanged) contract of the historical ``switches.faults.Fault`` class.
+    :class:`~repro.faults.harness.DataPlaneFaultHarness`.
     """
 
     layer = DATA_PLANE

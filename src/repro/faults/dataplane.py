@@ -13,9 +13,8 @@ acknowledged it) but the rule is not yet — or never — what packets hit.
   applied to the data plane at all: the control plane (and any barrier reply)
   claims success while packets keep missing the rule forever.
 
-``DelaySpikeFault`` and ``ReorderFault`` migrated here from
-``repro.switches.faults`` unchanged in behaviour (same parameters, same RNG
-draws); that module remains as a deprecated re-export shim.
+``DelaySpikeFault`` and ``ReorderFault`` keep the parameters and RNG draws
+of the switch model's original fault wrappers.
 """
 
 from __future__ import annotations

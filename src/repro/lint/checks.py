@@ -10,8 +10,9 @@ one refactor away from shipping):
   byte-identical-digests contract every result pin relies on.
 * RL003 — set iteration order follows the randomized string hash; anything
   it feeds (scheduling, serialization, digests) varies run to run.
-* RL004 — the PR 5 zero-allocation tracing contract: emission sites must
-  null-guard on ``active`` or disarmed runs pay for observability.
+* RL004 — the zero-allocation instrumentation contract: trace and
+  profiler emission sites must sit in the body of ``if ins.active:`` or
+  disarmed runs pay for observability.
 * RL005 — the only-when-armed serialization rule PRs 4–7 each re-derived:
   a disarmed subsystem's field must be key-omitted, not ``None``/"off",
   or every pre-subsystem digest pin breaks.
@@ -19,9 +20,6 @@ one refactor away from shipping):
   the kernel loop the PR 2 rewrite paid to remove.
 * RL007 — technique/fault/scenario classes that do not self-register are
   dead code every sweep silently skips.
-* RL008 — the PR 9 profiler rides the RL004 null-object contract: phase /
-  sample emission must hide behind ``if pr.active:`` or every unprofiled
-  run pays on the hot path the profiler exists to measure.
 * RL009 — the run-store closure of RL005: a key a serializer writes only
   conditionally must appear in the module's ``DIGEST_EXCLUDED_KEYS``
   declaration, or stored digests diverge between armed and disarmed runs
@@ -207,66 +205,63 @@ class UnorderedIteration(LintRule):
                 )
 
 
-#: The emission methods of the tracer protocol (``NullTracer``'s no-ops).
-_EMIT_METHODS = {"rule", "fault", "count", "gauge", "observe"}
+#: The emission methods of the instruments protocol (``NullInstruments``'s
+#: no-ops): trace events and metrics, and profiler phases.
+_EMIT_METHODS = {"rule", "fault", "count", "gauge", "observe", "phase"}
+
+
+def _is_instruments_ref(node: ast.AST) -> bool:
+    """``<expr>.instruments`` — a simulator's instrumentation object."""
+    return isinstance(node, ast.Attribute) and node.attr == "instruments"
+
+
+def _tests_active(test: ast.AST, name: str) -> bool:
+    """``<name>.active``, alone or as one operand of an ``and``."""
+    operands = (test.values if isinstance(test, ast.BoolOp)
+                and isinstance(test.op, ast.And) else [test])
+    return any(isinstance(part, ast.Attribute) and part.attr == "active"
+               and isinstance(part.value, ast.Name) and part.value.id == name
+               for part in operands)
 
 
 @register_rule
-class UnguardedTraceEmission(LintRule):
-    """RL004: trace emission must sit behind the ``if tr.active:`` guard.
-
-    The matching machinery is parameterized through the ``_emit_*`` class
-    attributes so RL008 can apply the identical null-object contract to the
-    profiler protocol by subclassing.
-    """
+class UnguardedEmission(LintRule):
+    """RL004: instrumentation emission must sit behind ``if ins.active:``."""
 
     code = "RL004"
-    name = "unguarded-trace-emission"
-    invariant = ("trace-emission sites bind tr = TRACER and guard every "
-                 "emit call with `if tr.active:`")
-    rationale = ("the PR 5 zero-allocation contract: with the NullTracer "
-                 "installed an instrumentation site is one attribute load "
-                 "and one false branch. Unguarded emits build event/detail "
-                 "arguments on every disarmed run — cost (and potential "
-                 "behaviour skew) where there must be none.")
+    name = "unguarded-emission"
+    invariant = ("emission sites bind ins = <sim>.instruments once and emit "
+                 "only in the body of `if ins.active:` (alone or and-ed)")
+    rationale = ("the zero-allocation contract: with the shared null "
+                 "instruments a site is one attribute load and one false "
+                 "branch. An emit outside that branch — unguarded, under "
+                 "`if not ins.active:`, or in the `else:` — builds its "
+                 "arguments (or runs) on every disarmed run: cost, and "
+                 "potential behaviour skew, where there must be none.")
     allowed_modules = ("obs/",)
 
-    #: The emission methods of the guarded protocol.
-    _emit_methods = _EMIT_METHODS
-    #: The module-level null-object global emission must not touch directly.
-    _emit_global = "TRACER"
-    #: The conventional local binding shown in the fix hint.
-    _emit_bind = "tr"
-    #: How the out-of-guard diagnostic names an emission.
-    _emit_noun = "trace emission"
-
-    @classmethod
-    def _is_emitter_ref(cls, node: ast.AST) -> bool:
-        return _name_of(node) == cls._emit_global
-
-    def _bound_names(self, info: ModuleInfo) -> Dict[Tuple[ast.AST, str], bool]:
-        """``(scope, name) -> True`` for locals assigned from the global."""
-        bindings: Dict[Tuple[ast.AST, str], bool] = {}
+    def _bound_names(self, info: ModuleInfo) -> Set[Tuple[ast.AST, str]]:
+        """``(scope, name)`` of locals assigned from ``<expr>.instruments``."""
+        bindings: Set[Tuple[ast.AST, str]] = set()
         for node in info.walk(ast.Assign):
-            if not self._is_emitter_ref(node.value):
+            if not _is_instruments_ref(node.value):
                 continue
             scope = info.enclosing_function(node) or info.tree
             for target in node.targets:
                 if isinstance(target, ast.Name):
-                    bindings[(scope, target.id)] = True
+                    bindings.add((scope, target.id))
         return bindings
 
     def _is_guarded(self, info: ModuleInfo, node: ast.AST, name: str) -> bool:
+        child = node
         for ancestor in info.ancestors(node):
             if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 return False
-            if not isinstance(ancestor, ast.If):
-                continue
-            for part in ast.walk(ancestor.test):
-                if (isinstance(part, ast.Attribute) and part.attr == "active"
-                        and isinstance(part.value, ast.Name)
-                        and part.value.id == name):
-                    return True
+            if (isinstance(ancestor, ast.If)
+                    and any(child is stmt for stmt in ancestor.body)
+                    and _tests_active(ancestor.test, name)):
+                return True
+            child = ancestor
         return False
 
     def check(self, info: ModuleInfo) -> Iterator[Diagnostic]:
@@ -274,56 +269,29 @@ class UnguardedTraceEmission(LintRule):
         for node in info.walk(ast.Call):
             func = node.func
             if not (isinstance(func, ast.Attribute)
-                    and func.attr in self._emit_methods):
+                    and func.attr in _EMIT_METHODS):
                 continue
-            if self._is_emitter_ref(func.value):
+            if _is_instruments_ref(func.value):
                 yield self.diagnostic(
                     info, node,
-                    f"emit directly on {self._emit_global}; bind "
-                    f"`{self._emit_bind} = {self._emit_global}` once and "
-                    f"guard `if {self._emit_bind}.active: "
-                    f"{self._emit_bind}.{func.attr}(...)`",
+                    "emit directly on .instruments; bind `ins = "
+                    "<sim>.instruments` once and guard `if ins.active: "
+                    f"ins.{func.attr}(...)`",
                 )
                 continue
             if not isinstance(func.value, ast.Name):
                 continue
             name = func.value.id
             scope = info.enclosing_function(node) or info.tree
-            if not bindings.get((scope, name)):
+            if (scope, name) not in bindings:
                 continue
             if not self._is_guarded(info, node, name):
                 yield self.diagnostic(
                     info, node,
-                    f"{self._emit_noun} {name}.{func.attr}(...) is outside "
-                    f"an `if {name}.active:` guard (zero-allocation "
+                    f"emission {name}.{func.attr}(...) is outside the body "
+                    f"of an `if {name}.active:` guard (zero-allocation "
                     "contract)",
                 )
-
-
-#: The emission methods of the profiler protocol (``NullProfiler``'s no-ops).
-_PROFILER_EMIT_METHODS = {"phase", "sample"}
-
-
-@register_rule
-class UnguardedProfilerEmission(UnguardedTraceEmission):
-    """RL008: profiler emission must sit behind the ``if pr.active:`` guard."""
-
-    code = "RL008"
-    name = "unguarded-profiler-emission"
-    invariant = ("profiler-emission sites bind pr = PROFILER and guard "
-                 "every emit call with `if pr.active:`")
-    rationale = ("the profiler rides the same null-object contract as the "
-                 "tracer: with the NullProfiler installed a phase/sample "
-                 "site is one attribute load and one false branch. "
-                 "Unguarded emits build label/value arguments on every "
-                 "unprofiled run — cost on the exact hot path the profiler "
-                 "exists to measure.")
-    allowed_modules = ("obs/",)
-
-    _emit_methods = _PROFILER_EMIT_METHODS
-    _emit_global = "PROFILER"
-    _emit_bind = "pr"
-    _emit_noun = "profiler emission"
 
 
 #: Function names treated as canonical serializers.

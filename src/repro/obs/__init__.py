@@ -9,11 +9,18 @@ makes that gap a first-class measurement instead of an end-of-run aggregate:
   ack-received`` on the control path, ``control-applied → hw-activated`` on
   the switch), each stamped with sim-time, switch id, xid and technique,
   collected into a :class:`~repro.obs.events.TraceLog`;
-* :mod:`repro.obs.tracer` — the module-level tracer the instrumented code
-  consults.  The default is a :class:`~repro.obs.tracer.NullTracer` whose
-  ``active`` flag short-circuits every instrumentation site, so runs with
-  tracing disarmed stay byte-identical to a build without this package
-  (pinned by the existing digest tests);
+* :mod:`repro.obs.instruments` — the per-simulator instrumentation object
+  (``sim.instruments``) every instrumented site consults.  It carries the
+  trace, the profile and the kernel event tap.  The default is the shared
+  :data:`~repro.obs.instruments.NULL_INSTRUMENTS`, whose ``active`` flag
+  short-circuits every site, so runs with instrumentation disarmed stay
+  byte-identical to a build without this package (pinned by the digest
+  tests);
+* :mod:`repro.obs.tracer` — the collecting :class:`~repro.obs.tracer.Tracer`
+  behind traced sessions;
+* :mod:`repro.obs.profiler` — the :class:`~repro.obs.profiler.Profiler`
+  behind profiled sessions (per-callback wall and heap churn, per-phase
+  events and memory);
 * :mod:`repro.obs.metrics` — counters/gauges/histograms sampled through
   :meth:`repro.sim.kernel.Simulator.every` hooks (pending-ack queue depth,
   flow-table occupancy, kernel event-loop stats);
@@ -21,10 +28,13 @@ makes that gap a first-class measurement instead of an end-of-run aggregate:
   exporters plus a schema validator for CI.
 
 Arm tracing declaratively with ``SessionSpec(trace=True)`` (or
-``ScenarioParams(trace=True)``, or ``python -m repro.campaign run --trace``);
-the :class:`~repro.session.record.RunRecord` then carries the
-:class:`TraceLog` and :mod:`repro.analysis.timeline` renders per-rule
-activation-gap and fault-overlay reports from it.
+``ScenarioParams(trace=True)``, or ``python -m repro.campaign run --trace``)
+and profiling with ``profile=True``; the session engine builds the
+simulator's instruments from those fields.  The
+:class:`~repro.session.record.RunRecord` then carries the :class:`TraceLog`
+(and :class:`ProfileReport`); :mod:`repro.analysis.timeline` renders
+per-rule activation-gap and fault-overlay reports from the trace.  Nothing
+here is process-global, so sessions may run side by side in threads.
 """
 
 from repro.obs.events import (
@@ -47,37 +57,20 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.instruments import NULL_INSTRUMENTS, Instruments, NullInstruments
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiler import (
-    NULL_PROFILER,
-    NullProfiler,
-    ProfileReport,
-    Profiler,
-    current_profiler,
-    install_profiler,
-    profiling,
-    uninstall_profiler,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    current_tracer,
-    install_tracer,
-    tracing,
-    uninstall_tracer,
-)
+from repro.obs.profiler import ProfileReport, Profiler
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Instruments",
     "LIFECYCLE_PHASES",
     "MetricsRegistry",
-    "NULL_PROFILER",
-    "NULL_TRACER",
-    "NullProfiler",
-    "NullTracer",
+    "NULL_INSTRUMENTS",
+    "NullInstruments",
     "PHASE_ACK_RECEIVED",
     "PHASE_ACK_SENT",
     "PHASE_CONTROL_APPLIED",
@@ -91,16 +84,8 @@ __all__ = [
     "TraceEvent",
     "TraceLog",
     "Tracer",
-    "current_profiler",
-    "current_tracer",
-    "install_profiler",
-    "install_tracer",
-    "profiling",
     "trace_to_chrome",
     "trace_to_jsonl",
-    "tracing",
-    "uninstall_profiler",
-    "uninstall_tracer",
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",

@@ -1,31 +1,23 @@
-"""Module-level sim-profiler with a null-object fast path.
+"""The deterministic sim-profiler.
 
-The profiling counterpart of :mod:`repro.obs.tracer`: where the tracer
-records *what* the simulation did (rule lifecycles, faults, metrics), the
-profiler records *where the wall time went* — per callback site, per event
-class, per session phase — which is the attribution the ROADMAP's
-"array-batched simulation kernel" item needs before any kernel rewrite can
-claim a win.
+Where the :class:`~repro.obs.tracer.Tracer` records *what* the simulation
+did (rule lifecycles, faults, metrics), the :class:`Profiler` records
+*where the wall time went* — per callback site, per event class, per
+session phase.
 
-Call sites read the module-level :data:`PROFILER` once and branch on its
-``active`` flag::
-
-    pr = profiler.PROFILER
-    if pr.active:
-        pr.phase("update")
-
-With the default :class:`NullProfiler` installed that is one attribute load
-and one false branch — no allocation, no call — so runs with profiling
-disarmed behave (and digest) exactly as if this module did not exist.
-
-An armed :class:`Profiler` additionally rides the kernel's event-observer
-hook (:func:`repro.sim.kernel.install_observer`): the observer fires
-immediately before each dispatched callback, so the wall time and the
-schedule-sequence delta between two consecutive observer calls belong to
-the *earlier* callback — per-site wall attribution and a deterministic
+A profiler is armed per simulator through
+:class:`~repro.obs.instruments.Instruments`: the simulator binds it at
+construction (:meth:`Profiler.attach`), the kernel calls :meth:`Profiler.tap`
+immediately before each dispatched callback, and session phases open
+through the guarded ``ins.phase(...)`` sites.  The wall time and the
+schedule-sequence delta between two consecutive taps belong to the
+*earlier* callback — per-site wall attribution and a deterministic
 heap-churn count (callbacks scheduled while the site ran) without touching
-the kernel loop itself.  Observers only read; a profiled run computes the
+the kernel loop itself.  The tap only reads; a profiled run computes the
 same outcome (and digest) as the identical unprofiled run.
+
+The per-phase memory columns come from ``tracemalloc``, which traces the
+whole process: concurrent profiled sessions share them.
 
 This module is allowlisted for RL002: reading ``time.perf_counter`` and
 ``tracemalloc`` is the entire point of a profiler, and nothing it measures
@@ -35,21 +27,8 @@ feeds back into simulation state.
 from __future__ import annotations
 
 import tracemalloc
-from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional
-
-
-class NullProfiler:
-    """Inert profiler: ``active`` is a class attribute, methods are no-ops."""
-
-    active = False
-
-    def phase(self, name: str) -> None:
-        """Open a named session phase (no-op)."""
-
-    def sample(self, name: str, value: float = 1.0) -> None:
-        """Accumulate an ad-hoc named quantity (no-op)."""
+from typing import Dict, List, Optional
 
 
 class ProfileReport:
@@ -69,7 +48,6 @@ class ProfileReport:
                  seed: Optional[int] = None,
                  callbacks: Optional[List[Dict[str, object]]] = None,
                  phases: Optional[List[Dict[str, object]]] = None,
-                 samples: Optional[Dict[str, float]] = None,
                  totals: Optional[Dict[str, object]] = None,
                  meta: Optional[Dict[str, object]] = None) -> None:
         self.technique = technique
@@ -77,7 +55,6 @@ class ProfileReport:
         self.seed = seed
         self.callbacks = list(callbacks or [])
         self.phases = list(phases or [])
-        self.samples = dict(samples or {})
         self.totals = dict(totals or {})
         self.meta = dict(meta or {})
 
@@ -120,8 +97,6 @@ class ProfileReport:
             "phases": [dict(row) for row in self.phases],
             "totals": dict(self.totals),
         }
-        if self.samples:
-            payload["samples"] = dict(self.samples)
         if self.meta:
             payload["meta"] = dict(self.meta)
         return payload
@@ -134,16 +109,13 @@ class ProfileReport:
             seed=payload.get("seed"),
             callbacks=list(payload.get("callbacks") or []),
             phases=list(payload.get("phases") or []),
-            samples=dict(payload.get("samples") or {}),
             totals=dict(payload.get("totals") or {}),
             meta=dict(payload.get("meta") or {}),
         )
 
 
-class Profiler(NullProfiler):
-    """Collecting profiler: attaches to a simulator's event-observer hook."""
-
-    active = True
+class Profiler:
+    """Collecting profiler: taps one simulator's event stream."""
 
     def __init__(self, technique: str = "", kind: str = "",
                  seed: Optional[int] = None) -> None:
@@ -157,7 +129,6 @@ class Profiler(NullProfiler):
         self._sites: Dict[object, str] = {}
         #: site -> [calls, wall_s, scheduled]
         self._stats: Dict[str, List] = {}
-        self._samples: Dict[str, float] = {}
         self._phases: List[Dict[str, object]] = []
         self._phase_name: Optional[str] = None
         self._phase_started = 0.0
@@ -173,19 +144,14 @@ class Profiler(NullProfiler):
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, sim) -> None:
-        """Start observing ``sim``'s event stream (kernel observer hook).
+        """Start observing ``sim``'s event stream.
 
-        Must run before the session's first ``sim.run(...)`` call:
-        :meth:`repro.sim.kernel.Simulator.run` binds the observer locally at
-        entry.  Starts ``tracemalloc`` for the per-phase memory splits
-        unless an outer consumer is already tracing.
+        Starts ``tracemalloc`` for the per-phase memory splits unless
+        another consumer is already tracing.
         """
-        from repro.sim.kernel import install_observer
-
         if self._sim is not None:
             raise RuntimeError("profiler is already attached to a simulator")
         self._sim = sim
-        install_observer(self._observe)
         self._own_tracemalloc = not tracemalloc.is_tracing()
         if self._own_tracemalloc:
             tracemalloc.start()
@@ -194,9 +160,7 @@ class Profiler(NullProfiler):
         self._last_seq = sim.schedule_sequence
 
     def detach(self) -> None:
-        """Stop observing; idempotent (finish and uninstall both call it)."""
-        from repro.sim.kernel import uninstall_observer
-
+        """Stop observing; idempotent (finish and a crashed session both call it)."""
         if self._sim is None:
             return
         now = perf_counter()
@@ -205,7 +169,6 @@ class Profiler(NullProfiler):
         if self._attached_ts is not None:
             self._total_wall += now - self._attached_ts
             self._attached_ts = None
-        uninstall_observer()
         if self._own_tracemalloc and tracemalloc.is_tracing():
             tracemalloc.stop()
         self._own_tracemalloc = False
@@ -223,19 +186,20 @@ class Profiler(NullProfiler):
             self._phase_mem_start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
 
-    def sample(self, name: str, value: float = 1.0) -> None:
-        self._samples[name] = self._samples.get(name, 0.0) + value
-
-    # -- the kernel observer ---------------------------------------------------
-    def _observe(self, time: float, callback, args) -> None:
+    # -- the kernel tap ---------------------------------------------------------
+    def tap(self, time: float, callback, args) -> None:
         """Kernel tap: close out the previous callback, open this one.
 
-        The wall/heap-churn window between two observer firings is the
-        previous callback plus the kernel-loop overhead that followed it —
-        exactly the cost an array-batched kernel could remove.
+        The wall/heap-churn window between two taps is the previous
+        callback plus the kernel-loop overhead that followed it — exactly
+        the cost an array-batched kernel could remove.  A detached
+        (finished) profiler ignores further events.
         """
+        sim = self._sim
+        if sim is None:
+            return
         now = perf_counter()
-        seq = self._sim.schedule_sequence
+        seq = sim.schedule_sequence
         self._close_pending(now, seq)
         func = getattr(callback, "__func__", callback)
         site = self._sites.get(func)
@@ -297,49 +261,6 @@ class Profiler(NullProfiler):
             seed=self.seed,
             callbacks=callbacks,
             phases=list(self._phases),
-            samples=dict(sorted(self._samples.items())),
             totals=totals,
             meta=dict(meta or {}),
         )
-
-
-#: Shared inert instance; ``PROFILER`` points here unless a session armed
-#: profiling.  Hot paths must re-read ``profiler.PROFILER`` per call site
-#: (cheap) rather than caching it across sim runs.
-NULL_PROFILER = NullProfiler()
-
-PROFILER: NullProfiler = NULL_PROFILER
-
-
-def current_profiler() -> NullProfiler:
-    return PROFILER
-
-
-def install_profiler(pr: Profiler) -> Profiler:
-    """Make ``pr`` the process-wide profiler; returns it for chaining."""
-    global PROFILER
-    if PROFILER is not NULL_PROFILER:
-        raise RuntimeError("a profiler is already installed; "
-                           "profiled sessions cannot nest")
-    PROFILER = pr
-    return pr
-
-
-def uninstall_profiler() -> None:
-    """Restore the null object, detaching any live kernel observer first."""
-    global PROFILER
-    installed = PROFILER
-    PROFILER = NULL_PROFILER
-    if isinstance(installed, Profiler):
-        installed.detach()
-
-
-@contextmanager
-def profiling(technique: str = "", kind: str = "",
-              seed: Optional[int] = None) -> Iterator[Profiler]:
-    """Arm a fresh ``Profiler`` for the duration of a ``with`` block."""
-    pr = install_profiler(Profiler(technique=technique, kind=kind, seed=seed))
-    try:
-        yield pr
-    finally:
-        uninstall_profiler()

@@ -1,56 +1,22 @@
-"""Module-level tracer with a null-object fast path.
+"""The collecting rule-lifecycle tracer.
 
-Instrumentation sites throughout the stack read the module-level
-:data:`TRACER` once and branch on its ``active`` flag::
-
-    tr = tracer.TRACER
-    if tr.active:
-        tr.rule(PHASE_MSG_SENT, self.sim.now, self.name, message.xid)
-
-With the default :class:`NullTracer` installed that is one attribute load
-and one false branch — no allocation, no call — so runs with tracing
-disarmed behave (and digest) exactly as if this package did not exist.
-:func:`install_tracer` rebinds the global for a traced session and
-:func:`uninstall_tracer` restores the null object; the session engine wraps
-the pair in ``try/finally`` so a crashing run cannot leak an active tracer
-into the next one.
+A :class:`Tracer` appends slotted :class:`~repro.obs.events.TraceEvent`
+records and feeds a sim-clock :class:`~repro.obs.metrics.MetricsRegistry`.
+It is armed per simulator: the session engine wraps it in
+:class:`~repro.obs.instruments.Instruments`, whose guarded emission sites
+forward here, and freezes it with :meth:`Tracer.finish` when the run ends.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.obs.events import PHASE_FAULT, TraceEvent, TraceLog
 from repro.obs.metrics import MetricsRegistry
 
 
-class NullTracer:
-    """Inert tracer: ``active`` is a class attribute, methods are no-ops."""
-
-    active = False
-
-    def rule(self, phase: str, ts: float, switch: str = "",
-             xid: Optional[int] = None, detail: str = "") -> None:
-        """Record a lifecycle event (no-op)."""
-
-    def fault(self, ts: float, switch: str = "", detail: str = "") -> None:
-        """Record a fault-model activation (no-op)."""
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump a counter (no-op)."""
-
-    def gauge(self, name: str, ts: float, value: float) -> None:
-        """Record a gauge sample (no-op)."""
-
-    def observe(self, name: str, ts: float, value: float) -> None:
-        """Record a histogram observation (no-op)."""
-
-
-class Tracer(NullTracer):
+class Tracer:
     """Collecting tracer: appends slotted events, feeds a metrics registry."""
-
-    active = True
 
     def __init__(self, technique: str = "", kind: str = "",
                  seed: Optional[int] = None) -> None:
@@ -84,41 +50,3 @@ class Tracer(NullTracer):
         if meta:
             log.meta.update(meta)
         return log
-
-
-#: Shared inert instance; ``TRACER`` points here unless a session armed
-#: tracing.  Hot paths must re-read ``tracer.TRACER`` per call site (cheap)
-#: rather than caching it across sim runs.
-NULL_TRACER = NullTracer()
-
-TRACER: NullTracer = NULL_TRACER
-
-
-def current_tracer() -> NullTracer:
-    return TRACER
-
-
-def install_tracer(tr: Tracer) -> Tracer:
-    """Make ``tr`` the process-wide tracer; returns it for chaining."""
-    global TRACER
-    if TRACER is not NULL_TRACER:
-        raise RuntimeError("a tracer is already installed; "
-                           "traced sessions cannot nest")
-    TRACER = tr
-    return tr
-
-
-def uninstall_tracer() -> None:
-    global TRACER
-    TRACER = NULL_TRACER
-
-
-@contextmanager
-def tracing(technique: str = "", kind: str = "",
-            seed: Optional[int] = None) -> Iterator[Tracer]:
-    """Arm a fresh ``Tracer`` for the duration of a ``with`` block."""
-    tr = install_tracer(Tracer(technique=technique, kind=kind, seed=seed))
-    try:
-        yield tr
-    finally:
-        uninstall_tracer()

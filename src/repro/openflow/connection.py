@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.obs import tracer as obs_tracer
 from repro.obs.events import PHASE_MSG_SENT
 from repro.openflow.messages import OFMessage
 from repro.sim.kernel import Simulator
@@ -133,13 +132,13 @@ class Connection:
 
     # -- transmission -----------------------------------------------------------
     def _transmit(self, from_side: int, message: OFMessage) -> None:
-        tr = obs_tracer.TRACER
-        if tr.active:
+        ins = self.sim.instruments
+        if ins.active:
             # The channel is named after what it connects (``ctl-<switch>``,
             # ``rum-<switch>``); the timeline maps it back to the switch.
-            tr.rule(PHASE_MSG_SENT, self.sim.now, self.name,
-                    getattr(message, "xid", None),
-                    detail=type(message).__name__)
+            ins.rule(PHASE_MSG_SENT, self.sim.now, self.name,
+                     getattr(message, "xid", None),
+                     detail=type(message).__name__)
         if self._intercept is not None and self._intercept(from_side, message):
             return
         self._schedule_delivery(from_side, message)

@@ -34,9 +34,14 @@ from repro.controller.update_plan import PlanExecutor
 from repro.faults.plan import ArmedFaults, arm_fault_plan
 from repro.net.network import Network
 from repro.net.traffic import TrafficGenerator
-from repro.obs import profiler as obs_profiler
-from repro.obs.profiler import Profiler, install_profiler, uninstall_profiler
-from repro.obs.tracer import Tracer, install_tracer, uninstall_tracer
+from repro.obs.instruments import (
+    NULL_INSTRUMENTS,
+    Instruments,
+    NullInstruments,
+    Observer,
+)
+from repro.obs.profiler import Profiler
+from repro.obs.tracer import Tracer
 from repro.recovery.manager import RecoveryManager
 from repro.session.record import RunRecord
 from repro.session.spec import SessionSpec
@@ -50,41 +55,40 @@ from repro.sim.rng import SeededRandom
 _TRACE_SAMPLE_INTERVAL = 0.01
 
 
-def run_session(spec: SessionSpec) -> RunRecord:
+def run_session(spec: SessionSpec,
+                observer: Optional[Observer] = None) -> RunRecord:
     """Execute one :class:`SessionSpec` and return its :class:`RunRecord`.
 
-    When :attr:`~repro.session.spec.SessionSpec.trace` is set, a collecting
-    tracer is installed for the duration of the run and the resulting
-    :class:`~repro.obs.events.TraceLog` rides on the record.  When
-    :attr:`~repro.session.spec.SessionKnobs.profile` is set, a collecting
-    :class:`~repro.obs.profiler.Profiler` is installed the same way and the
-    record carries its :class:`~repro.obs.profiler.ProfileReport`.  Both
-    only *observe* — every instrumentation site is read-only and the
-    periodic metrics probe mutates no simulation state — so a traced or
-    profiled run computes the same outcome (and digest) as the identical
-    bare run.
+    The session's simulator gets its own
+    :class:`~repro.obs.instruments.Instruments`.  When
+    :attr:`~repro.session.spec.SessionSpec.trace` is set they carry a
+    collecting tracer and the resulting :class:`~repro.obs.events.TraceLog`
+    rides on the record; when :attr:`~repro.session.spec.SessionKnobs.profile`
+    is set they carry a :class:`~repro.obs.profiler.Profiler` and the record
+    carries its :class:`~repro.obs.profiler.ProfileReport`.  ``observer``
+    is a kernel event tap (the determinism sanitizer's recorder).  All of
+    them only *observe*, so an instrumented run computes the same outcome
+    (and digest) as the identical bare run.
     """
-    tracer: Optional[Tracer] = None
-    profiler: Optional[Profiler] = None
+    technique = spec.resolved_technique().name
+    tracer = profiler = None
+    if spec.trace:
+        tracer = Tracer(technique=technique, kind=spec.kind,
+                        seed=spec.knobs.seed)
+    if spec.knobs.profile:
+        profiler = Profiler(technique=technique, kind=spec.kind,
+                            seed=spec.knobs.seed)
+    instruments: NullInstruments = NULL_INSTRUMENTS
+    if tracer is not None or profiler is not None or observer is not None:
+        instruments = Instruments(tracer=tracer, profiler=profiler,
+                                  observer=observer)
     try:
-        if spec.trace:
-            tracer = install_tracer(Tracer(
-                technique=spec.resolved_technique().name,
-                kind=spec.kind,
-                seed=spec.knobs.seed,
-            ))
-        if spec.knobs.profile:
-            profiler = install_profiler(Profiler(
-                technique=spec.resolved_technique().name,
-                kind=spec.kind,
-                seed=spec.knobs.seed,
-            ))
-        return _run_session(spec, tracer=tracer, profiler=profiler)
+        return _run_session(spec, instruments)
     finally:
         if profiler is not None:
-            uninstall_profiler()
-        if tracer is not None:
-            uninstall_tracer()
+            # The profiler may own process-wide tracemalloc; a crashed run
+            # must not leave it tracing.
+            profiler.detach()
 
 
 def _metrics_probe(tracer: Tracer, sim: Simulator, network: Network,
@@ -107,21 +111,18 @@ def _metrics_probe(tracer: Tracer, sim: Simulator, network: Network,
     tracer.gauge("kernel.pending_events", now, float(sim.pending_count))
 
 
-def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
-                 profiler: Optional[Profiler] = None) -> RunRecord:
+def _run_session(spec: SessionSpec, instruments: NullInstruments) -> RunRecord:
     technique = spec.resolved_technique()
     knobs = spec.knobs
     workload = spec.workload
+    tracer = instruments.tracer
+    profiler = instruments.profiler
 
     # 1. Topology, network, flows, pre-update forwarding state ----------------
-    sim = Simulator()
-    # The kernel binds its observer locally at each run() entry, so the
-    # profiler must tap the event stream before the first sim.run below.
-    if profiler is not None:
-        profiler.attach(sim)
-    pr = obs_profiler.PROFILER
-    if pr.active:
-        pr.phase("setup")
+    sim = Simulator(instruments=instruments)
+    ins = sim.instruments
+    if ins.active:
+        ins.phase("setup")
     rng = SeededRandom(knobs.seed)
     topology = spec.topology()
     network = Network(sim, topology, seed=knobs.seed)
@@ -182,8 +183,8 @@ def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
         traffic.start()
 
     # 4. Update plan -------------------------------------------------------------
-    if pr.active:
-        pr.phase("update")
+    if ins.active:
+        ins.phase("update")
     plan = spec.plan_builder(network, flows)
     executor = PlanExecutor(
         sim,
@@ -207,8 +208,8 @@ def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
     completed = executor.done.triggered
 
     # 5. Grace window / settling -------------------------------------------------
-    if pr.active:
-        pr.phase("drain")
+    if ins.active:
+        ins.phase("drain")
     if traffic is not None:
         stop_at = sim.now + knobs.grace
         traffic.stop_all(stop_at)
@@ -220,8 +221,8 @@ def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
         probe.cancel()
 
     # 6. Post-processing -----------------------------------------------------------
-    if pr.active:
-        pr.phase("analyze")
+    if ins.active:
+        ins.phase("analyze")
     markers = workload.markers(network, flows) if workload.markers else None
     stats = []
     if markers:

@@ -96,9 +96,9 @@ class SessionKnobs:
     #: keeps the pre-recovery code paths byte-identical.  See
     #: :mod:`repro.recovery`.
     recovery: Optional["RecoveryPolicy"] = None
-    #: Arm the sim-profiler for this run: the engine installs a collecting
-    #: :class:`~repro.obs.profiler.Profiler` on the kernel's event-observer
-    #: hook and the record carries the resulting
+    #: Arm the sim-profiler for this run: the engine gives the simulator a
+    #: collecting :class:`~repro.obs.profiler.Profiler` that taps its event
+    #: stream, and the record carries the resulting
     #: :class:`~repro.obs.profiler.ProfileReport`.  Profiling only observes
     #: — profiled and unprofiled runs of the same spec produce identical
     #: digests.
@@ -136,8 +136,8 @@ class SessionSpec:
     faults: Optional[FaultPlan] = None
     activation_probe: Optional[ActivationProbe] = None
     metrics: Optional[MetricsHook] = None
-    #: Arm rule-lifecycle tracing for this run: the engine installs a
-    #: collecting tracer and the record carries the resulting
+    #: Arm rule-lifecycle tracing for this run: the engine gives the
+    #: simulator a collecting tracer and the record carries the resulting
     #: :class:`~repro.obs.events.TraceLog`.  Tracing only observes — traced
     #: and untraced runs of the same spec produce identical digests.
     trace: bool = False

@@ -11,6 +11,15 @@ therefore inlines the stepping loop with locally-bound heap operations
 instead of calling :meth:`Simulator.step` per event, and the kernel pools
 the :class:`Timeout` objects backing numeric process sleeps
 (``yield interval``) so steady-state stepping allocates almost nothing.
+
+Each simulator carries its own ``instruments``
+(:class:`~repro.obs.instruments.NullInstruments` by default): the trace,
+the profile and the kernel event tap of that one run.  The tap, when set,
+is called as ``observer(time, callback, args)`` immediately before each
+dispatched callback; :meth:`Simulator.run` binds it once at entry, so a
+disarmed run pays one ``is not None`` branch per event.  Observers must only
+*read*: a recorded or profiled run keeps its event sequence (and digests)
+byte-identical to a bare one.
 """
 
 from __future__ import annotations
@@ -18,44 +27,12 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
+from repro.obs.instruments import NULL_INSTRUMENTS, NullInstruments
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 
 #: Upper bound on pooled Timeout objects kept for reuse.
 _TIMEOUT_POOL_LIMIT = 256
-
-#: Event-stream observer hook (the determinism sanitizer's recording tap).
-#: ``None`` — the default — costs the run loop one locally-bound ``is not
-#: None`` branch per event and nothing else, following the same
-#: zero-cost-when-disarmed contract as :data:`repro.obs.tracer.TRACER`.
-#: When installed, the observer is called as ``observer(time, callback,
-#: args)`` immediately before each dispatched callback.  Observers must only
-#: *read*: a recording pass over a run must leave its event sequence (and
-#: digests) byte-identical to an unobserved run.
-_OBSERVER: Optional[Callable[[float, Callable, tuple], None]] = None
-
-
-def install_observer(
-    observer: Callable[[float, Callable, tuple], None]
-) -> Callable[[float, Callable, tuple], None]:
-    """Make ``observer`` the process-wide event tap; returns it for chaining.
-
-    Mirrors :func:`repro.obs.tracer.install_tracer`: installs do not nest,
-    and callers must pair every install with :func:`uninstall_observer` in a
-    ``try/finally`` so a crashing run cannot leak the tap into the next one.
-    """
-    global _OBSERVER
-    if _OBSERVER is not None:
-        raise RuntimeError("an event observer is already installed; "
-                           "recorded runs cannot nest")
-    _OBSERVER = observer
-    return observer
-
-
-def uninstall_observer() -> None:
-    global _OBSERVER
-    _OBSERVER = None
-
 
 class StopSimulation(Exception):
     """Raised by user code to stop :meth:`Simulator.run` immediately."""
@@ -115,11 +92,13 @@ class Simulator:
         "_running",
         "_until",
         "_timeout_pool",
+        "instruments",
         "metadata",
         "steps_executed",
     )
 
-    def __init__(self, start_time: float = 0.0) -> None:
+    def __init__(self, start_time: float = 0.0,
+                 instruments: NullInstruments = NULL_INSTRUMENTS) -> None:
         self._now = float(start_time)
         self._heap: List[Tuple[float, int, Callable, tuple]] = []
         self._sequence = 0
@@ -130,6 +109,9 @@ class Simulator:
         #: consult it so they never advance the clock past the stop time.
         self._until: Optional[float] = None
         self._timeout_pool: List[Timeout] = []
+        #: This run's trace, profile and event tap (see the module docstring).
+        self.instruments = instruments
+        instruments.bind(self)
         self.metadata: dict = {}
         #: Total callbacks executed over the simulator's lifetime; benchmark
         #: instrumentation (events/second).
@@ -308,8 +290,9 @@ class Simulator:
             raise RuntimeError("simulation time went backwards (kernel bug)")
         self._now = max(self._now, time)
         self.steps_executed += 1
-        if _OBSERVER is not None:
-            _OBSERVER(time, callback, args)
+        observer = self.instruments.observer
+        if observer is not None:
+            observer(time, callback, args)
         callback(*args)
         return True
 
@@ -328,7 +311,7 @@ class Simulator:
         """
         heap = self._heap
         pop = heapq.heappop
-        observer = _OBSERVER
+        observer = self.instruments.observer
         self._running = True
         self._until = until
         steps = 0

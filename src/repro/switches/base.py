@@ -5,6 +5,7 @@ from __future__ import annotations
 import zlib
 from typing import Callable, Dict, List, Optional
 
+from repro.obs.events import PHASE_HW_ACTIVATED
 from repro.openflow.actions import Action, apply_actions
 from repro.openflow.connection import ConnectionEndpoint
 from repro.openflow.constants import CONTROLLER_PORT, FLOOD_PORT, PacketInReason
@@ -60,7 +61,7 @@ class Switch:
             sim,
             profile,
             send_to_controller=self._send_to_controller,
-            apply_to_dataplane=self.dataplane.apply_flowmod,
+            apply_to_dataplane=self.apply_to_dataplane,
             inject_packet=self.inject_packet,
             hit_counters=self.dataplane.hit_counters,
             rng=self.rng.fork("controlplane"),
@@ -242,6 +243,18 @@ class Switch:
         self.packets_forwarded += 1
         transmit(packet)
 
+    # -- rule activation ---------------------------------------------------------------
+    def apply_to_dataplane(self, flowmod: FlowMod, now: float) -> None:
+        """Make ``flowmod`` visible to packets: the rule's hardware activation.
+
+        The control plane's data-plane hook; fault harnesses wrap that hook,
+        so a delayed rule is traced when it is finally applied.
+        """
+        self.dataplane.apply_flowmod(flowmod, now)
+        ins = self.sim.instruments
+        if ins.active:
+            ins.rule(PHASE_HW_ACTIVATED, now, self.name, flowmod.xid)
+
     # -- convenience for tests ---------------------------------------------------------
     def install_rule_directly(self, flowmod: FlowMod) -> None:
         """Apply a rule to both planes immediately, bypassing the control channel.
@@ -250,7 +263,7 @@ class Switch:
         before the measured part of a run begins.
         """
         self.controlplane.table.apply_flowmod(flowmod, now=self.sim.now)
-        self.dataplane.apply_flowmod(flowmod, now=self.sim.now)
+        self.apply_to_dataplane(flowmod, self.sim.now)
 
     def rules_in_dataplane(self) -> int:
         """Number of rules currently visible to packets."""

@@ -31,7 +31,6 @@ from repro.openflow.messages import (
     StatsReply,
     StatsRequest,
 )
-from repro.obs import tracer as obs_tracer
 from repro.obs.events import (
     PHASE_ACK_SENT,
     PHASE_CONTROL_APPLIED,
@@ -192,10 +191,10 @@ class ControlPlane:
             # The TCP connection of a crashed switch is gone; anything the
             # controller still had in flight is lost.
             return
-        tr = obs_tracer.TRACER
-        if tr.active and isinstance(message, (FlowMod, BarrierRequest)):
-            tr.rule(PHASE_SWITCH_RECEIVED, self.sim.now, self.name,
-                    message.xid, detail=type(message).__name__)
+        ins = self.sim.instruments
+        if ins.active and isinstance(message, (FlowMod, BarrierRequest)):
+            ins.rule(PHASE_SWITCH_RECEIVED, self.sim.now, self.name,
+                     message.xid, detail=type(message).__name__)
         self.inbox.put(message)
 
     def crash_reset(self, wipe_table: bool = True) -> None:
@@ -284,9 +283,9 @@ class ControlPlane:
         self._applied_xids.add(flowmod.xid)
         self.flowmods_processed += 1
         self.control_apply_log[flowmod.xid] = self.sim.now
-        tr = obs_tracer.TRACER
-        if tr.active:
-            tr.rule(PHASE_CONTROL_APPLIED, self.sim.now, self.name, flowmod.xid)
+        ins = self.sim.instruments
+        if ins.active:
+            ins.rule(PHASE_CONTROL_APPLIED, self.sim.now, self.name, flowmod.xid)
 
         operation = PendingOperation(flowmod, received_at=self.sim.now,
                                      barrier_epoch=self._barrier_epoch)
@@ -322,10 +321,10 @@ class ControlPlane:
 
     def _send_barrier_reply(self, request: BarrierRequest) -> None:
         self.barrier_reply_log.append((self.sim.now, request.xid))
-        tr = obs_tracer.TRACER
-        if tr.active:
-            tr.rule(PHASE_ACK_SENT, self.sim.now, self.name, request.xid,
-                    detail="barrier-reply")
+        ins = self.sim.instruments
+        if ins.active:
+            ins.rule(PHASE_ACK_SENT, self.sim.now, self.name, request.xid,
+                     detail="barrier-reply")
         self._send(BarrierReply(xid=request.xid))
 
     def _check_barrier_waiters(self, operation: PendingOperation) -> None:

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs import tracer as obs_tracer
-from repro.obs.events import PHASE_HW_ACTIVATED
 from repro.openflow.actions import Verdict, compile_actions
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.messages import FlowMod
@@ -42,8 +40,6 @@ class DataPlane:
                  name: str = "dataplane") -> None:
         self.table = FlowTable(mode=table_mode, capacity=capacity, name=name)
         self.name = name
-        #: Owning switch, for trace events (the table is named ``<switch>.data``).
-        self.switch_name = name[:-5] if name.endswith(".data") else name
         self._lookup_cache: Dict[Tuple, Optional[FlowEntry]] = {}
         #: (time, flowmod xid) history of when each rule became visible to
         #: packets — the measurement layer uses this as ground truth for
@@ -58,9 +54,6 @@ class DataPlane:
         entries = self.table.apply_flowmod(flowmod, now=now)
         self._lookup_cache.clear()
         self.apply_log.append((now, flowmod.xid))
-        tr = obs_tracer.TRACER
-        if tr.active:
-            tr.rule(PHASE_HW_ACTIVATED, now, self.switch_name, flowmod.xid)
         return entries
 
     def occupancy(self) -> int:

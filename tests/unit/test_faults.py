@@ -123,27 +123,24 @@ class TestFaultRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Legacy API compatibility (switches.faults shim)
+# The legacy arm-and-wrap FaultInjector API
 # ---------------------------------------------------------------------------
 
 class TestLegacyShim:
     def test_old_imports_resolve_to_registered_models(self):
-        from repro.switches.faults import (
+        from repro.faults import (
+            DataPlaneFaultHarness,
             DelaySpikeFault,
-            Fault,
-            FaultInjector as ShimInjector,
             ReorderFault,
         )
-        from repro.switches import DelaySpikeFault as PackageDelaySpike
 
         assert DelaySpikeFault is get_fault("delay-spike").implementation
         assert ReorderFault is get_fault("reorder").implementation
-        assert PackageDelaySpike is DelaySpikeFault
-        assert ShimInjector is FaultInjector
-        assert issubclass(DelaySpikeFault, Fault)
+        assert issubclass(DelaySpikeFault, DataPlaneFault)
+        assert issubclass(FaultInjector, DataPlaneFaultHarness)
 
     def test_fault_injector_still_works(self):
-        from repro.switches.faults import DelaySpikeFault
+        from repro.faults import DelaySpikeFault
 
         sim, switch, connection, _replies = _wired_switch()
         injector = FaultInjector(
@@ -371,8 +368,7 @@ class TestSwitchCrash:
     def test_harnesses_chain_instead_of_clobbering(self):
         # A legacy FaultInjector (fig2's firewall fault) armed before a
         # FaultPlan harness must keep running behind it.
-        from repro.faults import DataPlaneFaultHarness
-        from repro.switches.faults import DelaySpikeFault
+        from repro.faults import DataPlaneFaultHarness, DelaySpikeFault
 
         sim, switch, connection, _replies = _wired_switch()
         legacy = FaultInjector(
@@ -726,34 +722,7 @@ class TestFaultCampaign:
 
 
 class TestShimDeprecation:
-    def test_shim_import_warns(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.switches.faults", None)
-        with pytest.warns(DeprecationWarning, match="repro.faults"):
-            importlib.import_module("repro.switches.faults")
-
-    def test_package_import_does_not_warn(self):
-        import importlib
-        import subprocess
-        import sys
-
-        # A fresh interpreter importing the package must stay silent: the
-        # shim names are resolved lazily via module __getattr__.
-        subprocess.run(
-            [sys.executable, "-W", "error::DeprecationWarning",
-             "-c", "import repro.switches"],
-            check=True, timeout=60,
-        )
-        # ... while the lazy re-exports still resolve to the moved classes.
-        switches = importlib.import_module("repro.switches")
-        from repro.faults.dataplane import DelaySpikeFault, ReorderFault
-        from repro.faults.harness import FaultInjector
-
-        assert switches.DelaySpikeFault is DelaySpikeFault
-        assert switches.ReorderFault is ReorderFault
-        assert switches.FaultInjector is FaultInjector
+    """The package surface left after the deprecated fault shim's removal."""
 
     def test_unknown_attribute_still_raises(self):
         import repro.switches

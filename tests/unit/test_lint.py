@@ -47,7 +47,7 @@ from repro.scenarios.base import ScenarioParams
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 ALL_RULES = ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-             "RL008", "RL009")
+             "RL009")
 
 
 def _lint_fixture(name: str):
@@ -92,21 +92,71 @@ def test_golden_diagnostics_rl001():
 
 def test_golden_diagnostics_rl004():
     rendered = [d.render() for d in _lint_fixture("rl004_violation.py")]
+    outside = ("is outside the body of an `if ins.active:` guard "
+               "(zero-allocation contract)")
     assert rendered == [
-        "rl004_violation.py:10:4: RL004 trace emission tr.rule(...) is "
-        "outside an `if tr.active:` guard (zero-allocation contract)",
-        "rl004_violation.py:14:4: RL004 emit directly on TRACER; bind "
-        "`tr = TRACER` once and guard `if tr.active: tr.fault(...)`",
+        f"rl004_violation.py:6:4: RL004 emission ins.rule(...) {outside}",
+        "rl004_violation.py:10:4: RL004 emit directly on .instruments; bind "
+        "`ins = <sim>.instruments` once and guard `if ins.active: "
+        "ins.fault(...)`",
+        f"rl004_violation.py:15:4: RL004 emission ins.phase(...) {outside}",
+        # `if not ins.active:` and the `else:` of `if ins.active:` run the
+        # emission on the disarmed path.
+        f"rl004_violation.py:21:8: RL004 emission ins.fault(...) {outside}",
+        f"rl004_violation.py:29:8: RL004 emission ins.fault(...) {outside}",
     ]
 
 
-def test_golden_diagnostics_rl008():
-    rendered = [d.render() for d in _lint_fixture("rl008_violation.py")]
+def _phase_emitters_only(name: str) -> str:
+    """A fixture's source with every function that emits no ``phase`` blanked.
+
+    Blanking keeps line numbers, so diagnostics still point into the file.
+    """
+    source = (FIXTURES / name).read_text(encoding="utf-8")
+    lines = source.splitlines()
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        if any(isinstance(call, ast.Call)
+               and isinstance(call.func, ast.Attribute)
+               and call.func.attr == "phase" for call in ast.walk(node)):
+            continue
+        for index in range(node.lineno - 1, node.end_lineno):
+            lines[index] = ""
+    kept = "\n".join(lines) + "\n"
+    assert ".phase(" in kept, f"{name} has no phase emission"
+    return kept
+
+
+def test_rl004_fires_on_an_unguarded_phase_emission():
+    diagnostics = lint_source(_phase_emitters_only("rl004_violation.py"),
+                              module="rl004_violation.py")
+    assert diagnostics
+    assert {diag.code for diag in diagnostics} == {"RL004"}
+
+
+def test_rl004_is_silent_on_a_guarded_phase_emission():
+    assert lint_source(_phase_emitters_only("rl004_clean.py"),
+                       module="rl004_clean.py") == []
+
+
+def test_rl004_honours_a_suppressed_phase_emission():
+    source = _phase_emitters_only("rl004_suppressed.py")
+    assert lint_source(source, module="rl004_suppressed.py") == []
+    # Without its suppression comment the same phase emission is flagged.
+    bare = "\n".join(line.split("  # repro: noqa")[0]
+                     for line in source.splitlines()) + "\n"
+    assert [d.code for d in lint_source(bare, module="rl004_suppressed.py")] \
+        == ["RL004"]
+
+
+def test_golden_diagnostics_rl004_phase():
+    rendered = [d.render() for d in lint_source(
+        _phase_emitters_only("rl004_violation.py"),
+        module="rl004_violation.py")]
     assert rendered == [
-        "rl008_violation.py:10:4: RL008 profiler emission pr.phase(...) is "
-        "outside an `if pr.active:` guard (zero-allocation contract)",
-        "rl008_violation.py:14:4: RL008 emit directly on PROFILER; bind "
-        "`pr = PROFILER` once and guard `if pr.active: pr.sample(...)`",
+        "rl004_violation.py:15:4: RL004 emission ins.phase(...) is outside "
+        "the body of an `if ins.active:` guard (zero-allocation contract)",
     ]
 
 
@@ -129,8 +179,8 @@ def test_rl009_is_scoped_to_modules_declaring_digest_exclusions():
     assert lint_source(undeclared, module="rl009_violation.py") == []
 
 
-def test_rl008_is_silent_inside_the_obs_package():
-    source = (FIXTURES / "rl008_violation.py").read_text(encoding="utf-8")
+def test_rl004_is_silent_inside_the_obs_package():
+    source = (FIXTURES / "rl004_violation.py").read_text(encoding="utf-8")
     assert lint_source(source, module="obs/profiler.py") == []
     assert lint_source(source, module="session/engine.py")
 
@@ -335,11 +385,21 @@ def test_wall_clock_tripwire_trips_and_restores():
 
 
 def test_sanitize_spec_reports_wall_clock_leaks():
-    class LeakySpec:
-        def run(self):
-            time.monotonic()
+    from dataclasses import replace
 
-    report = sanitize_spec(LeakySpec, scenario="leaky", technique="none")
+    from repro.scenarios.engine import scenario_session
+
+    def leaky_spec():
+        spec = scenario_session("path-migration", "general",
+                                ScenarioParams(**_SMOKE))
+
+        def leaky_plan(network, flows):
+            time.monotonic()
+            return spec.plan_builder(network, flows)
+
+        return replace(spec, plan_builder=leaky_plan)
+
+    report = sanitize_spec(leaky_spec, scenario="leaky", technique="general")
     assert not report.ok
     assert report.wall_clock_leak is not None
     assert "time.monotonic()" in report.wall_clock_leak
@@ -359,15 +419,23 @@ def test_record_session_streams_are_stable_and_digest_matches():
     assert first_divergence(first.events, second.events) is None
 
 
-def test_kernel_observer_refuses_to_nest():
-    from repro.sim.kernel import install_observer, uninstall_observer
+def test_kernel_observer_is_per_simulator():
+    from repro.obs import Instruments
+    from repro.sim import Simulator
 
-    install_observer(lambda *a: None)
-    try:
-        with pytest.raises(RuntimeError):
-            install_observer(lambda *a: None)
-    finally:
-        uninstall_observer()
+    seen = {"left": [], "right": []}
+    sims = {label: Simulator(instruments=Instruments(
+                observer=lambda t, cb, args, out=out: out.append(t)))
+            for label, out in seen.items()}
+    bare = Simulator()
+    for offset, sim in enumerate([*sims.values(), bare]):
+        for step in range(3):
+            sim.schedule_callback(step + offset / 10, lambda: None)
+    sims["left"].run()
+    bare.run()
+    sims["right"].run()
+    assert seen == {"left": [0.0, 1.0, 2.0], "right": [0.1, 1.1, 2.1]}
+    assert bare.instruments.observer is None
 
 
 def test_chaos_hooks_registry():

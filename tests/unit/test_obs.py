@@ -1,5 +1,5 @@
-"""Tests for the observability subsystem: the null-object tracer fast path
-(no allocations when disabled), lifecycle event collection through a real
+"""Tests for the observability subsystem: the null-instruments fast path
+(no allocations when disabled), per-simulator tracing, lifecycle event collection through a real
 traced session, trace-off digest transparency, the metrics registry, the
 exporters, and the timeline analysis."""
 
@@ -19,20 +19,19 @@ from repro.obs import (
     PHASE_MSG_SENT,
     PHASE_SWITCH_RECEIVED,
     PHASE_UPDATE_ISSUED,
+    NULL_INSTRUMENTS,
+    Instruments,
     MetricsRegistry,
-    NullTracer,
+    NullInstruments,
     TraceEvent,
     TraceLog,
     Tracer,
-    install_tracer,
     trace_to_chrome,
     trace_to_jsonl,
-    tracing,
-    uninstall_tracer,
     validate_chrome_trace,
 )
-from repro.obs import tracer as obs_tracer
 from repro.scenarios import ScenarioParams, run_scenario
+from repro.sim import Simulator
 
 
 def _quick_params(**overrides):
@@ -48,25 +47,30 @@ def _quick_params(**overrides):
 
 class TestNullTracer:
     def test_default_tracer_is_the_shared_null_object(self):
-        assert obs_tracer.TRACER is obs_tracer.NULL_TRACER
-        assert obs_tracer.current_tracer().active is False
+        ins = Simulator().instruments
+        assert ins is NULL_INSTRUMENTS
+        assert ins.active is False
+        assert ins.tracer is None
+        assert ins.observer is None
 
     def test_active_is_a_class_attribute(self):
         # The hot-path guard must not hit __dict__ lookups per instance.
-        assert "active" in NullTracer.__dict__
-        assert NullTracer.active is False
-        assert Tracer.active is True
+        assert "active" in NullInstruments.__dict__
+        assert NullInstruments.active is False
+        assert Instruments(tracer=Tracer()).active is True
+        # A tap-only run (the sanitizer's) skips every emission site.
+        assert Instruments(observer=lambda *args: None).active is False
 
     def test_disabled_hot_path_allocates_nothing(self):
-        """The guarded call site pattern must be allocation-free when the
-        null tracer is installed — the zero-cost-when-disabled contract."""
-        tr = obs_tracer.TRACER
-        assert tr is obs_tracer.NULL_TRACER
+        """The guarded call site pattern must be allocation-free on the null
+        ``sim.instruments`` — the zero-cost-when-disabled contract."""
+        ins = Simulator().instruments
+        assert ins is NULL_INSTRUMENTS
 
         def hot_site(iterations):
             for _ in range(iterations):
-                if tr.active:
-                    tr.rule(PHASE_MSG_SENT, 0.0, "S1", 1)
+                if ins.active:
+                    ins.rule(PHASE_MSG_SENT, 0.0, "S1", 1)
 
         hot_site(100)  # warm up any lazy interpreter state
         gc.collect()
@@ -80,7 +84,7 @@ class TestNullTracer:
         assert grown < 512, f"disabled trace path leaked {grown} bytes"
 
     def test_null_methods_are_noops(self):
-        null = NullTracer()
+        null = NullInstruments()
         null.rule(PHASE_MSG_SENT, 0.0, "S1", 1)
         null.fault(0.0, "S1", "x")
         null.count("c")
@@ -90,7 +94,7 @@ class TestNullTracer:
 
 
 # ---------------------------------------------------------------------------
-# Collecting tracer and install/uninstall discipline
+# Collecting tracer, bound to one simulator
 # ---------------------------------------------------------------------------
 
 class TestTracer:
@@ -112,25 +116,25 @@ class TestTracer:
         assert log.metrics["gap"]["summary"]["count"] == 1
         assert log.meta["topology"] == "triangle"
 
-    def test_install_uninstall_rebinds_global(self):
+    def test_instruments_forward_to_their_tracer(self):
         tr = Tracer()
-        assert install_tracer(tr) is tr
-        try:
-            assert obs_tracer.TRACER is tr
-        finally:
-            uninstall_tracer()
-        assert obs_tracer.TRACER is obs_tracer.NULL_TRACER
+        ins = Simulator(instruments=Instruments(tracer=tr)).instruments
+        assert ins.tracer is tr
+        ins.rule(PHASE_MSG_SENT, 0.1, "S1", 4)
+        ins.count("c", 2)
+        ins.phase("setup")  # no profiler: stays a no-op
+        assert [event.xid for event in tr.events] == [4]
+        assert tr.metrics.as_dict()["c"] == 2
+        assert Simulator().instruments is NULL_INSTRUMENTS
 
-    def test_nested_install_rejected(self):
-        with tracing():
-            with pytest.raises(RuntimeError, match="cannot nest"):
-                install_tracer(Tracer())
-
-    def test_tracing_contextmanager_restores_on_error(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            with tracing(technique="general"):
-                raise RuntimeError("boom")
-        assert obs_tracer.TRACER is obs_tracer.NULL_TRACER
+    def test_two_traced_simulators_record_separately(self):
+        tracers = {"S1": Tracer(), "S2": Tracer()}
+        for name, tr in tracers.items():
+            ins = Simulator(instruments=Instruments(tracer=tr)).instruments
+            if ins.active:
+                ins.rule(PHASE_MSG_SENT, 0.0, name, 1)
+        assert [[event.switch for event in tr.events]
+                for tr in tracers.values()] == [["S1"], ["S2"]]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +276,8 @@ class TestTracedSession:
         assert all("ts" in event and "phase" in event for event in body)
 
     def test_tracer_never_leaks_after_session(self, traced_record):
-        assert obs_tracer.TRACER is obs_tracer.NULL_TRACER
+        assert Simulator().instruments is NULL_INSTRUMENTS
+        assert NULL_INSTRUMENTS.tracer is None
 
 
 class TestValidateChromeTrace:

@@ -1,8 +1,8 @@
-"""Tests for the deterministic sim-profiler: the null-object fast path
-(no allocations when disarmed), kernel-observer attribution through toy
-simulations and a real profiled session, profile-off digest transparency
-(a profiled run digests identically to its unprofiled twin), the report
-round-trip, and the hot-callback rendering."""
+"""Tests for the deterministic sim-profiler: the null-instruments fast path
+(no allocations when disarmed), per-simulator kernel-tap attribution through
+toy simulations and a real profiled session, profile-off digest
+transparency (a profiled run digests identically to its unprofiled twin),
+the report round-trip, and the hot-callback rendering."""
 
 import gc
 import json
@@ -15,18 +15,14 @@ from repro.analysis.profile import (
     render_profile_report,
 )
 from repro.obs import (
-    NULL_PROFILER,
-    NullProfiler,
+    NULL_INSTRUMENTS,
+    Instruments,
+    NullInstruments,
     ProfileReport,
     Profiler,
-    install_profiler,
-    profiling,
-    uninstall_profiler,
 )
-from repro.obs import profiler as obs_profiler
 from repro.scenarios import ScenarioParams, run_scenario
 from repro.session.record import RunRecord
-from repro.sim import kernel
 from repro.sim.kernel import Simulator
 
 
@@ -43,25 +39,27 @@ def _quick_params(**overrides):
 
 class TestNullProfiler:
     def test_default_profiler_is_the_shared_null_object(self):
-        assert obs_profiler.PROFILER is NULL_PROFILER
-        assert obs_profiler.current_profiler().active is False
+        ins = Simulator().instruments
+        assert ins is NULL_INSTRUMENTS
+        assert ins.active is False
+        assert ins.profiler is None
 
     def test_active_is_a_class_attribute(self):
         # The hot-path guard must not hit __dict__ lookups per instance.
-        assert "active" in NullProfiler.__dict__
-        assert NullProfiler.active is False
-        assert Profiler.active is True
+        assert "active" in NullInstruments.__dict__
+        assert NullInstruments.active is False
+        assert Instruments(profiler=Profiler()).active is True
 
     def test_disarmed_hot_path_allocates_nothing(self):
-        """The guarded call-site pattern must be allocation-free when the
-        null profiler is installed — the zero-cost-when-disarmed contract."""
-        pr = obs_profiler.PROFILER
-        assert pr is NULL_PROFILER
+        """The guarded call-site pattern must be allocation-free on the null
+        ``sim.instruments`` — the zero-cost-when-disarmed contract."""
+        ins = Simulator().instruments
+        assert ins is NULL_INSTRUMENTS
 
         def hot_site(iterations):
             for _ in range(iterations):
-                if pr.active:
-                    pr.phase("update")
+                if ins.active:
+                    ins.phase("update")
 
         hot_site(100)  # warm up any lazy interpreter state
         gc.collect()
@@ -75,57 +73,83 @@ class TestNullProfiler:
         assert grown < 512, f"disarmed profile path leaked {grown} bytes"
 
     def test_null_methods_are_noops(self):
-        null = NullProfiler()
+        null = NullInstruments()
         null.phase("setup")
-        null.sample("batch", 3.0)
+        null.bind(Simulator())
+        assert null.observer is None
         assert not hasattr(null, "_stats")
 
 
 # ---------------------------------------------------------------------------
-# Install / uninstall lifecycle
+# Per-simulator lifecycle
 # ---------------------------------------------------------------------------
 
 class TestInstall:
-    def test_install_swaps_the_module_global_and_uninstall_restores(self):
-        pr = install_profiler(Profiler(technique="t", kind="k", seed=1))
-        try:
-            assert obs_profiler.PROFILER is pr
-            assert obs_profiler.current_profiler().active is True
-        finally:
-            uninstall_profiler()
-        assert obs_profiler.PROFILER is NULL_PROFILER
+    def test_profiled_simulator_carries_its_own_profiler(self):
+        pr = Profiler(technique="t", kind="k", seed=1)
+        sim = Simulator(instruments=Instruments(profiler=pr))
+        assert sim.instruments.profiler is pr
+        assert sim.instruments.observer == pr.tap
+        assert Simulator().instruments is NULL_INSTRUMENTS
+        pr.detach()
 
-    def test_profiled_sessions_cannot_nest(self):
-        install_profiler(Profiler())
-        try:
-            with pytest.raises(RuntimeError, match="cannot nest"):
-                install_profiler(Profiler())
-        finally:
-            uninstall_profiler()
+    def test_two_profiled_simulators_profile_separately(self):
+        profilers = [Profiler(), Profiler()]
+        sims = [Simulator(instruments=Instruments(profiler=pr))
+                for pr in profilers]
+        for count, sim in zip((2, 5), sims):
+            for step in range(count):
+                sim.schedule_callback(0.1 * step, lambda: None)
+            sim.run()
+        reports = [pr.finish() for pr in profilers]
+        assert [report.totals["events"] for report in reports] == [2, 5]
 
-    def test_profiling_context_manager_restores_on_error(self):
+    def test_an_extra_observer_and_the_profiler_both_see_every_event(self):
+        seen = []
+        pr = Profiler()
+        sim = Simulator(instruments=Instruments(
+            profiler=pr, observer=lambda time, callback, args: seen.append(time)))
+        for step in range(3):
+            sim.schedule_callback(0.1 * step, lambda: None)
+        sim.run()
+        assert seen == [0.0, 0.1, 0.2]
+        assert pr.finish().totals["events"] == 3
+
+    def test_crashed_profiled_session_stops_its_tracemalloc(self):
+        from repro.scenarios.engine import scenario_session
+        from repro.session.engine import run_session
+
+        assert not tracemalloc.is_tracing()
+        spec = scenario_session("path-migration", "general",
+                                _quick_params(profile=True))
+
+        def crashing_plan(network, flows):
+            raise RuntimeError("boom")
+
+        spec.plan_builder = crashing_plan
         with pytest.raises(RuntimeError, match="boom"):
-            with profiling(kind="test"):
-                raise RuntimeError("boom")
-        assert obs_profiler.PROFILER is NULL_PROFILER
+            run_session(spec)
+        assert not tracemalloc.is_tracing()
 
-    def test_uninstall_detaches_a_live_kernel_observer(self):
-        sim = Simulator()
-        pr = install_profiler(Profiler())
-        pr.attach(sim)
-        assert kernel._OBSERVER is not None
-        uninstall_profiler()
-        assert kernel._OBSERVER is None
-        assert obs_profiler.PROFILER is NULL_PROFILER
+    def test_finish_detaches_the_kernel_tap(self):
+        pr = Profiler()
+        sim = Simulator(instruments=Instruments(profiler=pr))
+        sim.schedule_callback(0.1, lambda: None)
+        sim.run()
+        report = pr.finish()
+        sim.schedule_callback(0.1, lambda: None)
+        sim.run()  # a finished profiler ignores further events
+        assert report.totals["events"] == 1
+        assert pr.finish().totals["events"] == 1
 
     def test_attach_refuses_a_second_simulator(self):
-        pr = Profiler()
-        pr.attach(Simulator())
+        instruments = Instruments(profiler=Profiler())
+        Simulator(instruments=instruments)
         try:
             with pytest.raises(RuntimeError, match="already attached"):
-                pr.attach(Simulator())
+                Simulator(instruments=instruments)
         finally:
-            pr.detach()
+            instruments.profiler.detach()
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +164,8 @@ def _toy_run():
     def pong():
         pass
 
-    sim = Simulator()
     pr = Profiler(technique="toy", kind="unit", seed=3)
-    pr.attach(sim)
+    sim = Simulator(instruments=Instruments(profiler=pr))
     try:
         for index in range(5):
             sim.schedule_callback(0.05 * (index + 1), ping)
@@ -183,7 +206,8 @@ class TestAttribution:
         drive = report.phases[0]
         assert drive["events"] == 10
         assert drive["wall_s"] >= 0.0
-        # attach() started tracemalloc, so the memory split must be present.
+        # Binding the profiler started tracemalloc, so the memory split must
+        # be present.
         assert "alloc_kb" in drive and "peak_kb" in drive
 
     def test_by_class_folds_sites_into_owners(self):
@@ -205,7 +229,7 @@ class TestAttribution:
 # ---------------------------------------------------------------------------
 
 class TestProfiledSession:
-    def test_profiled_run_carries_a_report_and_restores_globals(self):
+    def test_profiled_run_carries_a_report(self):
         record = run_scenario("path-migration", "general",
                               _quick_params(profile=True))
         assert record.profile is not None
@@ -214,8 +238,6 @@ class TestProfiledSession:
         assert record.profile.callbacks
         assert [row["name"] for row in record.profile.phases] == [
             "setup", "update", "drain", "analyze"]
-        assert obs_profiler.PROFILER is NULL_PROFILER
-        assert kernel._OBSERVER is None
 
     def test_profile_off_runs_omit_the_key_entirely(self):
         record = run_scenario("path-migration", "general", _quick_params())

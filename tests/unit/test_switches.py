@@ -20,12 +20,10 @@ from repro.openflow import (
 from repro.openflow.constants import StatsType
 from repro.openflow.connection import Connection
 from repro.packet.packet import make_ip_packet
+from repro.faults import DelaySpikeFault, FaultInjector, ReorderFault
 from repro.sim import Simulator
 from repro.switches import (
-    DelaySpikeFault,
-    FaultInjector,
     HardwareSwitch,
-    ReorderFault,
     SoftwareSwitch,
     Switch,
     hp5406zl_profile,
