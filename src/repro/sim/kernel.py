@@ -132,6 +132,21 @@ class Simulator:
         self._sequence = sequence + 1
         heapq.heappush(self._heap, (self._now + delay, sequence, callback, args))
 
+    def schedule_at(self, time: float, callback: Callable, *args: Any) -> None:
+        """Run ``callback(*args)`` at the absolute simulated ``time``.
+
+        The entry keeps ``time`` bit for bit -- ``schedule_callback(time -
+        now)`` would store ``now + (time - now)``, which can round to a
+        different float -- and shares the FIFO sequence with
+        :meth:`schedule_callback`, so equal-time callbacks run in the order
+        they were scheduled.
+        """
+        if time < self._now:
+            raise ValueError(f"cannot schedule in the past (time={time}, now={self._now})")
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        heapq.heappush(self._heap, (time, sequence, callback, args))
+
     def schedule_many(
         self, items: Iterable[Tuple]
     ) -> int:

@@ -38,6 +38,7 @@ from repro.obs.events import (
 )
 from repro.openflow.constants import OFErrorCode, OFErrorType
 from repro.packet.packet import Packet
+from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Queue
 from repro.sim.rng import SeededRandom
@@ -48,7 +49,11 @@ _op_ids = itertools.count(1)
 
 class PendingOperation:
     """A rule modification accepted by the control plane but not yet visible
-    in the data plane."""
+    in the data plane.
+
+    ``received_at`` is when the agent started processing the FlowMod and
+    ``control_applied_at`` when that processing finished.
+    """
 
     __slots__ = (
         "op_id",
@@ -142,6 +147,11 @@ class ControlPlane:
 
         self.inbox: Queue = Queue(sim, name=f"{name}.inbox")
         self._pending_ops: Deque[PendingOperation] = deque()
+        #: Set while the rate-limited sync loop sleeps on an empty queue
+        #: with no wake-up scheduled; see :meth:`_rate_limited_sync_loop`.
+        self._sync_wakeup: Optional[Event] = None
+        self._sync_idle_since = 0.0
+        self._sync_poll = 0.0
         self._barrier_waiters: List[_BarrierWaiter] = []
         self._barrier_epoch = 0
         self._stolen_time = 0.0
@@ -259,6 +269,7 @@ class ControlPlane:
     # -- FlowMod ---------------------------------------------------------------------
     def _handle_flowmod(self, flowmod: FlowMod):
         epoch = self.crash_epoch
+        started_at = self.sim.now
         processing = self.rng.jitter(
             self.profile.flowmod_processing_time(len(self.table)),
             self.profile.flowmod_jitter,
@@ -287,13 +298,15 @@ class ControlPlane:
         if ins.active:
             ins.rule(PHASE_CONTROL_APPLIED, self.sim.now, self.name, flowmod.xid)
 
-        operation = PendingOperation(flowmod, received_at=self.sim.now,
+        operation = PendingOperation(flowmod, received_at=started_at,
                                      barrier_epoch=self._barrier_epoch)
         operation.control_applied_at = self.sim.now
         if self.profile.sync_model == DataPlaneSyncModel.IMMEDIATE:
             self._apply_operation(operation)
         else:
             self._pending_ops.append(operation)
+            if self._sync_wakeup is not None:
+                self._wake_sync_loop(started_at)
 
     def _apply_operation(self, operation: PendingOperation) -> None:
         if self.crashed:
@@ -428,12 +441,25 @@ class ControlPlane:
         already pushed to the data plane (TCAM insertion slows down as the
         table fills), which is what makes the lag between control plane and
         data plane grow over a long burst of modifications.
+
+        The loop behaves exactly as if it polled its empty queue every
+        quarter apply interval, but it schedules no kernel events while idle:
+        it records when it went idle and goes dormant on an event.  The
+        FlowMod handler that next appends an operation wakes it
+        (:meth:`_wake_sync_loop`) at the poll tick that would first have
+        seen the operation; on an exact tie between that tick and the
+        append, one tick later unless the handler started processing before
+        the previous tick.  A crash while the wake-up is scheduled empties
+        the queue, so the loop goes dormant again from that tick.
         """
         base_spacing = 1.0 / self.profile.dataplane_apply_rate
+        self._sync_poll = base_spacing / 4
         applied = 0
         while True:
             if not self._pending_ops:
-                yield base_spacing / 4
+                self._sync_idle_since = self.sim.now
+                self._sync_wakeup = wakeup = self.sim.event()
+                yield wakeup
                 continue
             if self.profile.reorders_across_barriers and len(self._pending_ops) > 1:
                 index = self.rng.randint(0, len(self._pending_ops) - 1)
@@ -452,3 +478,24 @@ class ControlPlane:
                 continue  # the popped operation died with the switch
             self._apply_operation(operation)
             applied += 1
+
+    def _wake_sync_loop(self, started_at: float) -> None:
+        """Wake the dormant rate-limited loop for an operation appended now.
+
+        The polled loop ticked at ``idle_since + poll`` and then once per
+        ``poll``, each tick one float addition on the last; replaying those
+        additions finds the first tick at or after now.  On an exact tie
+        with now, that tick's wake-up (scheduled at the previous tick) ran
+        before the appending handler -- missing the operation -- unless the
+        handler's processing sleep, scheduled at ``started_at``, is older.
+        """
+        wakeup, self._sync_wakeup = self._sync_wakeup, None
+        poll = self._sync_poll
+        now = self.sim.now
+        previous = self._sync_idle_since
+        tick = previous + poll
+        while tick < now:
+            previous, tick = tick, tick + poll
+        if tick == now and started_at >= previous:
+            tick = tick + poll
+        self.sim.schedule_at(tick, wakeup.succeed)

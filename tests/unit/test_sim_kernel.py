@@ -36,6 +36,37 @@ def test_negative_delay_rejected():
         sim.schedule_callback(-0.1, lambda: None)
 
 
+def test_schedule_at_keeps_the_exact_float_time():
+    # ``now + (time - now)`` rounds to the next float up for this pair.
+    start, target = 0.059319463165483144, 0.6700135674342321
+    assert start + (target - start) != target
+    sim = Simulator()
+    fired = []
+    sim.schedule_callback(start, lambda: sim.schedule_at(target, lambda: fired.append(sim.now)))
+    sim.run()
+    assert fired == [target]
+
+
+def test_schedule_at_shares_fifo_order_with_schedule_callback():
+    sim = Simulator()
+    log = []
+    sim.schedule_callback(1.0, log.append, "first")
+    sim.schedule_at(1.0, log.append, "second")
+    sim.schedule_callback(1.0, log.append, "third")
+    sim.schedule_at(0.5, log.append, "earlier")
+    sim.run()
+    assert log == ["earlier", "first", "second", "third"]
+
+
+def test_schedule_at_rejects_past_times():
+    sim = Simulator()
+    sim.run(until=1.0)
+    with pytest.raises(ValueError):
+        sim.schedule_at(0.999, lambda: None)
+    sim.schedule_at(1.0, lambda: None)
+    assert sim.peek() == 1.0
+
+
 def test_run_until_stops_before_later_events():
     sim = Simulator()
     log = []

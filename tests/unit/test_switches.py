@@ -141,6 +141,16 @@ def test_hardware_switch_planes_disagree_transiently():
     assert switch.planes_agree()
 
 
+def test_idle_rate_limited_switch_schedules_no_kernel_events():
+    # The data-plane sync loop sleeps until a FlowMod arrives; a poll every
+    # quarter apply interval would take ~10,600 events over these 10 s.
+    sim = Simulator()
+    switch = HardwareSwitch(sim, "S1", profile=hp5406zl_profile())
+    switch.start()
+    sim.run(until=10.0)
+    assert sim.steps_executed < 50
+
+
 def test_correct_barrier_mode_profile_waits():
     profile = hp5406zl_profile().with_overrides(barrier_mode=BarrierMode.CORRECT)
     sim, switch, endpoint, replies = _wired_switch(profile)
